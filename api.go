@@ -221,7 +221,8 @@ func NewZhouLiPolicy(k int) (Policy, error) { return policy.NewZhouLi(k) }
 // bound l (use the node count N).
 func NewLLRPolicy(k, l int) (Policy, error) { return policy.NewLLR(k, l) }
 
-// NewEpsilonGreedyPolicy returns an ε-greedy baseline.
+// NewEpsilonGreedyPolicy returns an ε-greedy baseline. Its snapshots
+// restore correctly only if seed had not been drawn from when passed in.
 func NewEpsilonGreedyPolicy(k int, epsilon float64, seed *Seed) (Policy, error) {
 	return policy.NewEpsilonGreedy(k, epsilon, seed)
 }
@@ -251,7 +252,7 @@ type PolicyIndexWriter = policy.IndexWriter
 type LearnerState = policy.State
 
 // PolicySnapshotter is implemented by policies whose learner state can be
-// exported and re-imported (all built-ins except ε-greedy).
+// exported and re-imported (every built-in policy).
 type PolicySnapshotter = policy.Snapshotter
 
 // ---------------------------------------------------------------------------

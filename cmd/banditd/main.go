@@ -16,7 +16,7 @@
 //	GET    /v1/instances/{id}/assignment   current channel assignment
 //	GET    /v1/instances/{id}/snapshot     export learner state
 //	POST   /v1/instances/{id}/restore      import learner state
-//	GET    /metrics                        Prometheus text exposition (?format=legacy)
+//	GET    /metrics                        Prometheus text exposition
 //	GET    /healthz                        liveness probe
 //
 // With -listen-binary a second data plane serves the same instances over

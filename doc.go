@@ -203,9 +203,8 @@
 // faster on the step hot path (tracked in BENCH_cluster.json by `make
 // bench-cluster`). cmd/banditload is the closed-loop load generator
 // behind `make bench-serve` (results tracked in BENCH_serve.json); it
-// drives either transport. The pre-spec flat create payload is still
-// accepted and maps 1:1 onto a spec. See EXPERIMENTS.md for the serving
-// workflow and OPERATIONS.md for the operator's runbook.
+// drives either transport. See EXPERIMENTS.md for the serving workflow
+// and OPERATIONS.md for the operator's runbook.
 //
 // # Durability
 //
@@ -223,7 +222,8 @@
 // instance continues bit-identically to a run that never crashed —
 // internal/serve's crash-recovery golden tests kill mid-update-period and
 // assert it, and the CI recover-smoke job SIGKILLs a loaded daemon and
-// asserts the restart serves every instance. Torn log tails truncate,
+// asserts the restart serves every instance. A restore replaces the
+// persisted trajectory before it replies. Torn log tails truncate,
 // mid-file corruption is rejected, and fsync policy (always/batch/none)
 // trades append latency against machine-crash loss; `make bench-wal`
 // tracks the costs in BENCH_wal.json. A recorded stream feeds back

@@ -258,11 +258,16 @@ type EpsilonGreedy struct {
 	est     *Estimator
 	epsilon float64
 	src     *rng.Source
+	// draws counts the uniform draws taken from src since construction —
+	// the stream position a snapshot carries.
+	draws int
 }
 
 var _ Policy = (*EpsilonGreedy)(nil)
 
-// NewEpsilonGreedy returns an ε-greedy policy over k arms.
+// NewEpsilonGreedy returns an ε-greedy policy over k arms. src must not
+// have been drawn from: Restore re-creates the stream from src's seed and
+// replays the snapshot's draws.
 func NewEpsilonGreedy(k int, epsilon float64, src *rng.Source) (*EpsilonGreedy, error) {
 	if epsilon < 0 || epsilon > 1 {
 		return nil, fmt.Errorf("policy: epsilon must be in [0,1], got %v", epsilon)
@@ -293,6 +298,7 @@ func (p *EpsilonGreedy) Indices() []float64 {
 func (p *EpsilonGreedy) WriteIndices(dst []float64, ch *changeset.Set) (changed bool) {
 	k := p.est.K()
 	explore := p.src.Bernoulli(p.epsilon)
+	p.draws++
 	for i := 0; i < k; i++ {
 		if p.est.Count(i) == 0 {
 			writeIndex(dst, i, UnseenIndex, &changed, ch)
@@ -300,6 +306,7 @@ func (p *EpsilonGreedy) WriteIndices(dst []float64, ch *changeset.Set) (changed 
 		}
 		if explore {
 			writeIndex(dst, i, p.src.Float64(), &changed, ch)
+			p.draws++
 		} else {
 			writeIndex(dst, i, p.est.Mean(i), &changed, ch)
 		}

@@ -1,6 +1,10 @@
 package policy
 
-import "fmt"
+import (
+	"fmt"
+
+	"multihopbandit/internal/rng"
+)
 
 // State is a portable snapshot of a learner's sufficient statistics — the
 // payload of the serving runtime's snapshot/restore API. Estimator-backed
@@ -20,11 +24,13 @@ type State struct {
 	// DiscountedZhouLi.
 	Sums      []float64 `json:"sums,omitempty"`
 	EffCounts []float64 `json:"eff_counts,omitempty"`
+	// Draws is the position of EpsilonGreedy's random stream: the number of
+	// uniform draws taken since construction.
+	Draws int `json:"draws,omitempty"`
 }
 
 // Snapshotter is implemented by policies whose learner state can be exported
-// and re-imported. ZhouLi, LLR, CUCB, Oracle and DiscountedZhouLi implement
-// it; EpsilonGreedy does not (its random stream cannot be captured).
+// and re-imported. Every policy in this package implements it.
 type Snapshotter interface {
 	// Snapshot exports the current learner state.
 	Snapshot() State
@@ -85,6 +91,36 @@ func (p *CUCB) Restore(s State) error {
 		return err
 	}
 	return p.est.Restore(s)
+}
+
+// Snapshot implements Snapshotter. Besides the estimator statistics it
+// records the random stream's position, so a restored policy draws the
+// same values the original would have.
+func (p *EpsilonGreedy) Snapshot() State {
+	s := p.est.Snapshot()
+	s.Policy = p.Name()
+	s.Draws = p.draws
+	return s
+}
+
+// Restore implements Snapshotter. It re-creates the random stream from its
+// seed and replays the snapshot's draws, so its cost is linear in them.
+func (p *EpsilonGreedy) Restore(s State) error {
+	if err := checkStatePolicy(s, p.Name()); err != nil {
+		return err
+	}
+	if s.Draws < 0 {
+		return fmt.Errorf("policy: snapshot draws must be non-negative, got %d", s.Draws)
+	}
+	if err := p.est.Restore(s); err != nil {
+		return err
+	}
+	p.src = rng.New(p.src.Seed())
+	for i := 0; i < s.Draws; i++ {
+		p.src.Float64()
+	}
+	p.draws = s.Draws
+	return nil
 }
 
 // Snapshot implements Snapshotter. The oracle's true means are construction

@@ -3,6 +3,8 @@ package policy
 import (
 	"encoding/json"
 	"testing"
+
+	"multihopbandit/internal/rng"
 )
 
 // snapshotPolicies builds one of each Snapshotter policy over k arms.
@@ -21,17 +23,25 @@ func snapshotPolicies(t *testing.T, k int) map[string]func() Policy {
 			p, _ := NewDiscountedZhouLi(k, 0.95)
 			return p
 		},
+		// Every fresh instance gets the same seeded stream, as a served
+		// instance rebuilt from its spec does.
+		"eps-greedy": func() Policy {
+			p, _ := NewEpsilonGreedy(k, 0.3, rng.New(7))
+			return p
+		},
 	}
 }
 
 // TestSnapshotRestoreRoundTrip drives a policy, snapshots it through a JSON
 // round trip into a fresh instance, and checks both instances stay
-// bit-identical over further updates.
+// bit-identical over further updates. Every round reads the indices, as a
+// decision does, so randomized policies advance their streams.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	const k = 24
 	for name, mk := range snapshotPolicies(t, k) {
 		orig := mk()
 		for r := 0; r < 40; r++ {
+			orig.Indices()
 			played, rewards := hotPathRound(k, r)
 			if err := orig.Update(played, rewards); err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -91,6 +101,12 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	bad.Counts[0] = -3
 	if err := zl.Restore(bad); err == nil {
 		t.Fatal("restoring a negative count should fail")
+	}
+	eg, _ := NewEpsilonGreedy(8, 0.1, rng.New(1))
+	es := eg.Snapshot()
+	es.Draws = -1
+	if err := eg.Restore(es); err == nil {
+		t.Fatal("restoring a negative stream position should fail")
 	}
 	// Discounted length checks.
 	disc, _ := NewDiscountedZhouLi(8, 0.9)

@@ -347,7 +347,9 @@ func (i *Instance) Snapshot() (*Snapshot, error) {
 }
 
 // Restore replaces the learner and loop state with a snapshot taken from an
-// instance of the same configuration.
+// instance of the same configuration. On a persisted instance the
+// replacement is durable when Restore returns: the on-disk trajectory
+// restarts at the snapshot's slot.
 func (i *Instance) Restore(s *Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("serve: nil snapshot")
@@ -413,8 +415,9 @@ type actor struct {
 	counters *ShardCounters
 	stats    *instanceStats
 	loop     *core.Loop
-	persist  *persister   // nil when the instance is not persisted
-	abrupt   *atomic.Bool // skip the final snapshot when set at close
+	learner  policy.Snapshotter // the loop's policy
+	persist  *persister         // nil when the instance is not persisted
+	abrupt   *atomic.Bool       // skip the final snapshot when set at close
 
 	observations  int64
 	observedSlots int64
@@ -470,8 +473,7 @@ func (a *actor) handle(req request) response {
 		as, err := a.assignment()
 		return response{assign: as, err: err}
 	case reqSnapshot:
-		snap, err := a.snapshot()
-		return response{snap: snap, err: err}
+		return response{snap: a.snapshot()}
 	case reqRestore:
 		return response{err: a.restore(req.snap)}
 	case reqInfo:
@@ -611,11 +613,7 @@ func (a *actor) assignment() (*Assignment, error) {
 	return &as, nil
 }
 
-func (a *actor) snapshot() (*Snapshot, error) {
-	snap, ok := a.loop.Policy().(policy.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("policy %q: %w", a.loop.Policy().Name(), ErrSnapshotUnsupported)
-	}
+func (a *actor) snapshot() *Snapshot {
 	st := a.loop.ExportState()
 	return &Snapshot{
 		ID:              a.id,
@@ -625,17 +623,14 @@ func (a *actor) snapshot() (*Snapshot, error) {
 		Winners:         st.Winners,
 		Strategy:        st.Strategy,
 		EstimatedWeight: st.EstimatedWeight,
-		Learner:         snap.Snapshot(),
-	}, nil
+		Learner:         a.learner.Snapshot(),
+	}
 }
 
-func (a *actor) restore(s *Snapshot) error {
-	snap, ok := a.loop.Policy().(policy.Snapshotter)
-	if !ok {
-		return fmt.Errorf("policy %q: %w", a.loop.Policy().Name(), ErrSnapshotUnsupported)
-	}
-	// Validate the loop state before touching the learner, so a rejected
-	// snapshot leaves the instance unchanged.
+// restoreState installs a snapshot into a loop and its learner. The loop
+// state is validated before the learner is touched, so a rejected snapshot
+// leaves both unchanged.
+func restoreState(loop *core.Loop, learner policy.Snapshotter, s *Snapshot) error {
 	st := core.LoopState{
 		Slot:            s.Slot,
 		DecidedSlot:     s.DecidedSlot,
@@ -644,18 +639,26 @@ func (a *actor) restore(s *Snapshot) error {
 		Strategy:        extgraph.Strategy(s.Strategy),
 		EstimatedWeight: s.EstimatedWeight,
 	}
-	if err := a.loop.ValidateState(st); err != nil {
+	if err := loop.ValidateState(st); err != nil {
 		return err
 	}
-	if err := snap.Restore(s.Learner); err != nil {
+	if err := learner.Restore(s.Learner); err != nil {
 		return err
 	}
-	if err := a.loop.RestoreState(st); err != nil {
+	return loop.RestoreState(st)
+}
+
+// restore replaces the instance's state with s and, on a persisted
+// instance, makes the replacement durable before the reply.
+func (a *actor) restore(s *Snapshot) error {
+	a.beginRestore()
+	if err := restoreState(a.loop, a.learner, s); err != nil {
 		return err
 	}
 	// The regret window measures what THIS trajectory observed; a restore
 	// starts a new one.
 	a.observedSlots, a.observedTotal = 0, 0
+	a.endRestore()
 	return nil
 }
 

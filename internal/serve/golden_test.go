@@ -338,6 +338,9 @@ func TestSnapshotRestoreMidRunBitIdentical(t *testing.T) {
 		// the next boundary from scratch) must not disturb the trajectory.
 		{"zhou-li", ""},
 		{"oracle-mid-epoch", spec.PolicyOracle},
+		// The randomized policy's snapshot also carries its random
+		// stream's position.
+		{"eps-greedy", spec.PolicyEpsGreedy},
 	}
 	for _, pv := range policies {
 		for _, tc := range []struct {

@@ -20,7 +20,7 @@ import (
 // Server exposes a Registry over HTTP/JSON. Routes:
 //
 //	GET    /healthz                        liveness probe
-//	GET    /metrics                        Prometheus text exposition (?format=legacy for the pre-registry format)
+//	GET    /metrics                        Prometheus text exposition
 //	POST   /v1/instances                   create an instance (body: InstanceConfig)
 //	GET    /v1/instances                   list instances
 //	GET    /v1/instances/{id}              instance info
@@ -162,9 +162,6 @@ const (
 	CodeAlreadyExists = "already_exists"
 	// CodeInstanceClosed is a request to a closed (removed) instance.
 	CodeInstanceClosed = "instance_closed"
-	// CodeSnapshotUnsupported is snapshot/restore on a policy without
-	// learner-state export (ε-greedy).
-	CodeSnapshotUnsupported = "snapshot_unsupported"
 	// CodeMethodNotAllowed is a known route with the wrong HTTP method.
 	CodeMethodNotAllowed = "method_not_allowed"
 )
@@ -239,8 +236,6 @@ func instanceErrorStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, ErrClosed):
 		return http.StatusGone, CodeInstanceClosed
-	case errors.Is(err, ErrSnapshotUnsupported):
-		return http.StatusConflict, CodeSnapshotUnsupported
 	case isSpecError(err):
 		return http.StatusBadRequest, CodeInvalidSpec
 	default:
@@ -275,7 +270,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case path == "/healthz":
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	case path == "/metrics":
-		s.handleMetrics(w, r)
+		s.handleMetrics(w)
 	case path == "/v1/instances":
 		switch r.Method {
 		case http.MethodPost:
@@ -459,98 +454,12 @@ func (s *Server) observeSince(h *Histogram, start time.Time) {
 	h.ObserveDuration(time.Since(start))
 }
 
-// handleMetrics renders the registry's exposition. The default is the
-// Prometheus text format 0.0.4 (obs.Registry.WritePrometheus; every scrape
-// passes obs.Validate, which CI enforces); ?format=legacy serves the
-// pre-registry ad-hoc format for scrapers not yet migrated.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "legacy" {
-		s.handleMetricsLegacy(w)
-		return
-	}
+// handleMetrics renders the registry's exposition in the Prometheus text
+// format 0.0.4 (obs.Registry.WritePrometheus; every scrape passes
+// obs.Validate, which CI enforces).
+func (s *Server) handleMetrics(w http.ResponseWriter) {
 	var b strings.Builder
 	s.reg.Obs().WritePrometheus(&b)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = io.WriteString(w, b.String())
-}
-
-// handleMetricsLegacy renders the pre-registry ad-hoc text format,
-// preserved verbatim under /metrics?format=legacy.
-func (s *Server) handleMetricsLegacy(w http.ResponseWriter) {
-	var b strings.Builder
-	m := s.reg.Metrics()
-	fmt.Fprintf(&b, "banditd_uptime_seconds %.3f\n", time.Since(s.start).Seconds())
-	fmt.Fprintf(&b, "banditd_shards %d\n", len(m.Shards))
-	for i := range m.Shards {
-		sc := &m.Shards[i]
-		fmt.Fprintf(&b, "banditd_instances{shard=\"%d\"} %d\n", i, sc.Instances.Load())
-		fmt.Fprintf(&b, "banditd_instances_created_total{shard=\"%d\"} %d\n", i, sc.Created.Load())
-		fmt.Fprintf(&b, "banditd_instances_closed_total{shard=\"%d\"} %d\n", i, sc.Closed.Load())
-		fmt.Fprintf(&b, "banditd_slots_served_total{shard=\"%d\"} %d\n", i, sc.Slots.Load())
-		fmt.Fprintf(&b, "banditd_decisions_total{shard=\"%d\"} %d\n", i, sc.Decisions.Load())
-		fmt.Fprintf(&b, "banditd_decide_full_total{shard=\"%d\"} %d\n", i, sc.FullDecides.Load())
-		fmt.Fprintf(&b, "banditd_decide_epoch_skips_total{shard=\"%d\"} %d\n", i, sc.EpochSkips.Load())
-		fmt.Fprintf(&b, "banditd_decide_leader_skips_total{shard=\"%d\"} %d\n", i, sc.LeaderSkips.Load())
-		fmt.Fprintf(&b, "banditd_decide_leader_sensitivity_skips_total{shard=\"%d\"} %d\n", i, sc.SensitivitySkips.Load())
-		fmt.Fprintf(&b, "banditd_decide_leader_resolves_total{shard=\"%d\"} %d\n", i, sc.MemoStructHits.Load()+sc.MemoMisses.Load())
-		fmt.Fprintf(&b, "banditd_decide_memo_struct_hits_total{shard=\"%d\"} %d\n", i, sc.MemoStructHits.Load())
-		fmt.Fprintf(&b, "banditd_decide_memo_misses_total{shard=\"%d\"} %d\n", i, sc.MemoMisses.Load())
-		fmt.Fprintf(&b, "banditd_decide_mini_rounds_total{shard=\"%d\"} %d\n", i, sc.MiniRounds.Load())
-		fmt.Fprintf(&b, "banditd_decide_weight_broadcasts_total{shard=\"%d\"} %d\n", i, sc.WeightBroadcasts.Load())
-		fmt.Fprintf(&b, "banditd_decide_leader_declarations_total{shard=\"%d\"} %d\n", i, sc.LeaderDeclarations.Load())
-		fmt.Fprintf(&b, "banditd_decide_local_broadcasts_total{shard=\"%d\"} %d\n", i, sc.LocalBroadcasts.Load())
-		fmt.Fprintf(&b, "banditd_decide_mini_timeslots_total{shard=\"%d\"} %d\n", i, sc.MiniTimeslots.Load())
-		fmt.Fprintf(&b, "banditd_observations_total{shard=\"%d\"} %d\n", i, sc.Observations.Load())
-		fmt.Fprintf(&b, "banditd_observation_errors_total{shard=\"%d\"} %d\n", i, sc.ObservationErrors.Load())
-		fmt.Fprintf(&b, "banditd_wal_appends_total{shard=\"%d\"} %d\n", i, sc.WALAppends.Load())
-		fmt.Fprintf(&b, "banditd_wal_append_bytes_total{shard=\"%d\"} %d\n", i, sc.WALAppendBytes.Load())
-		fmt.Fprintf(&b, "banditd_wal_fsyncs_total{shard=\"%d\"} %d\n", i, sc.WALFsyncs.Load())
-		fmt.Fprintf(&b, "banditd_wal_snapshots_total{shard=\"%d\"} %d\n", i, sc.WALSnapshots.Load())
-		fmt.Fprintf(&b, "banditd_wal_errors_total{shard=\"%d\"} %d\n", i, sc.WALErrors.Load())
-		fmt.Fprintf(&b, "banditd_recovered_instances_total{shard=\"%d\"} %d\n", i, sc.Recovered.Load())
-	}
-	if s.RegretMetrics {
-		s.writeRegretMetrics(&b)
-	}
-	cs := s.reg.Cache().Stats()
-	fmt.Fprintf(&b, "banditd_artifact_cache_hits_total %d\n", cs.Hits)
-	fmt.Fprintf(&b, "banditd_artifact_cache_misses_total %d\n", cs.Misses)
-	fmt.Fprintf(&b, "banditd_artifact_cache_entries %d\n", cs.Entries)
-	for _, op := range s.latencyOps() {
-		if op.h.Count() == 0 {
-			continue
-		}
-		for _, q := range []float64{0.5, 0.9, 0.99} {
-			fmt.Fprintf(&b, "banditd_request_duration_seconds{op=%q,quantile=\"%.2f\"} %.6f\n",
-				op.name, q, op.h.Quantile(q)/1e9)
-		}
-		fmt.Fprintf(&b, "banditd_request_duration_seconds_sum{op=%q} %.6f\n", op.name, float64(op.h.Sum())/1e9)
-		fmt.Fprintf(&b, "banditd_request_duration_seconds_count{op=%q} %d\n", op.name, op.h.Count())
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = io.WriteString(w, b.String())
-}
-
-// writeRegretMetrics emits the per-instance regret families: the genie
-// optimum W* of the instance's artifacts (engine's cached exact MWIS over
-// the catalog means), the observation window, and the cumulative regret
-// window·W* − Σ observed over it — the quantity whose O(√t log t) growth is
-// the paper's Theorem 2. All on the paper's kbps scale. For dynamic channel
-// kinds W* is the static catalog optimum, so the value is regret against
-// the best static strategy, not the clairvoyant dynamic one.
-func (s *Server) writeRegretMetrics(b *strings.Builder) {
-	for _, h := range s.reg.handles() {
-		inst, err := s.reg.cache.Scenario(h.spec)
-		if err != nil {
-			continue
-		}
-		opt, err := inst.Optimal()
-		if err != nil {
-			continue
-		}
-		slots, total := h.ObservedWindow()
-		fmt.Fprintf(b, "banditd_optimal_kbps{instance=%q} %.6f\n", h.id, channel.Kbps(opt))
-		fmt.Fprintf(b, "banditd_regret_window_slots{instance=%q} %d\n", h.id, slots)
-		fmt.Fprintf(b, "banditd_regret_kbps_total{instance=%q} %.6f\n", h.id, channel.Kbps(float64(slots)*opt-total))
-	}
 }

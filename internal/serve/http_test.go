@@ -137,30 +137,56 @@ func TestHTTPWorkflow(t *testing.T) {
 	}
 }
 
-// TestHTTPLegacyFlatCreate posts the pre-spec flat JSON shape and checks it
-// still creates a working instance mapped onto the spec surface.
-func TestHTTPLegacyFlatCreate(t *testing.T) {
-	ts, c, reg := newTestServer(t)
-	body := `{"id":"flat","n":8,"m":2,"seed":1,"require_connected":true,"policy":"llr","update_every":2}`
-	resp, err := http.Post(ts.URL+"/v1/instances", "application/json", strings.NewReader(body))
+// TestHTTPSnapshotRestoreEpsGreedy snapshots a randomized-policy instance
+// over HTTP, restores it into a fresh same-spec instance, and checks both
+// continue bit-identically under the same observations: the snapshot
+// carries the position of the policy's random stream.
+func TestHTTPSnapshotRestoreEpsGreedy(t *testing.T) {
+	_, c, _ := newTestServer(t)
+	sp := gaussSpec(8, 2, 1)
+	sp.Policy = spec.PolicySpec{Kind: spec.PolicyEpsGreedy, Epsilon: 0.5}
+	if _, err := c.Create(InstanceConfig{ID: "orig", Spec: sp}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Step("orig", 41); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.Snapshot("orig")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("legacy create status = %d", resp.StatusCode)
+	if snap.Learner.Draws == 0 {
+		t.Fatal("snapshot carries no random-stream position")
 	}
-	h, ok := reg.Get("flat")
-	if !ok {
-		t.Fatal("legacy-created instance not registered")
-	}
-	s := h.Spec()
-	if s.Topology.Kind != spec.TopologyRandom || s.Channel.Kind != spec.ChannelGaussian ||
-		s.Policy.Kind != spec.PolicyLLR || s.Decision.UpdateEvery != 2 {
-		t.Fatalf("legacy spec mapping = %+v", s)
-	}
-	if _, err := c.Step("flat", 4); err != nil {
+	if _, err := c.Create(InstanceConfig{ID: "clone", Spec: sp}); err != nil {
 		t.Fatal(err)
+	}
+	if err := c.Restore("clone", snap); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 40; s++ {
+		a, err := c.Assignment("orig")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := c.Assignment("clone")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Slot != b.Slot || !equalInts(a.Winners, b.Winners) || a.EstimatedWeight != b.EstimatedWeight {
+			t.Fatalf("round %d: diverged: %+v vs %+v", s, a, b)
+		}
+		rewards := make([]float64, len(a.Winners))
+		for i := range rewards {
+			rewards[i] = float64((s+i)%10) / 10
+		}
+		batch := []ObservationBatch{{Played: a.Winners, Rewards: rewards}}
+		if _, err := c.Observe("orig", batch); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Observe("clone", batch); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -279,20 +305,6 @@ func TestHTTPErrorCodes(t *testing.T) {
 		t.Fatalf("duplicate create: code %q (err %v), want %q", ErrorCode(err), err, CodeAlreadyExists)
 	}
 
-	// Snapshot on a policy without learner-state export → snapshot_unsupported.
-	eps := InstanceConfig{ID: "eps", Spec: gaussSpec(8, 2, 1)}
-	eps.Spec.Policy.Kind = spec.PolicyEpsGreedy
-	if _, err := c.Create(eps); err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Snapshot("eps")
-	if ErrorCode(err) != CodeSnapshotUnsupported {
-		t.Fatalf("snapshot on eps-greedy: code %q (err %v), want %q", ErrorCode(err), err, CodeSnapshotUnsupported)
-	}
-	if !errors.As(err, &ae) || ae.Status != http.StatusConflict {
-		t.Fatalf("snapshot on eps-greedy: %v, want APIError with 409", err)
-	}
-
 	// Closed instance → instance_closed.
 	if err := c.Delete("dup"); err != nil {
 		t.Fatal(err)
@@ -331,7 +343,7 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad JSON status = %d", resp.StatusCode)
 	}
-	// Unknown field rejected (flat shape).
+	// Unknown field rejected (top level).
 	resp, err = http.Post(ts.URL+"/v1/instances", "application/json", strings.NewReader(`{"n":8,"m":2,"frobnicate":true}`))
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"multihopbandit/internal/obs"
@@ -138,53 +137,5 @@ func TestMetricsTracingSurfaces(t *testing.T) {
 	}
 	if v, ok := exp.Value("banditd_trace_spans_total"); !ok || v == 0 {
 		t.Error("trace span counter missing or zero")
-	}
-}
-
-// TestMetricsLegacyFormat pins the pre-registry scrape contract behind
-// /metrics?format=legacy: the ad-hoc line shapes survive, without the
-// HELP/TYPE preamble of the Prometheus exposition.
-func TestMetricsLegacyFormat(t *testing.T) {
-	ts, c, _, _ := newTracedServer(t)
-	if _, err := c.Create(InstanceConfig{ID: "a", Spec: gaussSpec(8, 2, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Step("a", 16); err != nil {
-		t.Fatal(err)
-	}
-	legacy := scrape(t, ts.URL+"/metrics?format=legacy")
-	if strings.Contains(legacy, "# HELP") {
-		t.Fatal("legacy format grew a HELP preamble")
-	}
-	for _, want := range []string{
-		"banditd_uptime_seconds ",
-		"banditd_shards 2",
-		`banditd_slots_served_total{shard="0"}`,
-		"banditd_artifact_cache_hits_total ",
-		`banditd_optimal_kbps{instance="a"}`,
-		`banditd_regret_kbps_total{instance="a"}`,
-	} {
-		if !strings.Contains(legacy, want) {
-			t.Errorf("legacy metrics missing %q:\n%s", want, legacy)
-		}
-	}
-	// Same counters, both formats: shard counters must agree.
-	prom := scrape(t, ts.URL+"/metrics")
-	exp, err := obs.Parse(prom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(legacy, "\n") {
-		if !strings.HasPrefix(line, `banditd_slots_served_total{shard="0"} `) {
-			continue
-		}
-		want := strings.TrimPrefix(line, `banditd_slots_served_total{shard="0"} `)
-		got, ok := exp.Value("banditd_slots_served_total", obs.L("shard", "0"))
-		if !ok {
-			t.Fatal("prometheus scrape missing shard 0 slots")
-		}
-		if gotStr := strings.TrimSpace(want); gotStr == "" || float64(int64(got)) != got {
-			t.Fatalf("unexpected shard counter rendering: legacy %q prom %v", want, got)
-		}
 	}
 }

@@ -4,13 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/url"
 	"os"
 	"path/filepath"
 
 	"multihopbandit/internal/core"
-	"multihopbandit/internal/extgraph"
-	"multihopbandit/internal/policy"
 	"multihopbandit/internal/spec"
 	"multihopbandit/internal/wal"
 )
@@ -29,11 +28,9 @@ import (
 // applied slots and atomically published. Recovery (Registry.Recover)
 // restores the snapshot and replays the log tail through the same
 // StepExternal path the serving runtime uses, so the recovered learner is
-// bit-identical to the uninterrupted one. Policies without snapshot support
-// (ε-greedy) persist the log only: their segments are never rotated or
-// collected, and recovery replays from slot 0 — the replay feeds the policy
-// stream the same draws in the same order, so even the randomized policy
-// recovers exactly.
+// bit-identical to the uninterrupted one. A restore replaces the on-disk
+// trajectory as a whole: the restored state becomes the snapshot and the
+// log starts afresh at its slot (see endRestore).
 //
 // Sampler (environment) state is intentionally not persisted: the WAL
 // records realized rewards, which is all the learner consumed. A recovered
@@ -122,11 +119,10 @@ func (r *Registry) instanceDir(id string) string {
 // goroutine (it implements core.SlotObserver on the actor's step paths), so
 // no locking: the same confinement that makes the loop race-free covers it.
 type persister struct {
-	dir         string
-	opts        spec.PersistSpec
-	log         *wal.Log
-	counters    *ShardCounters
-	canSnapshot bool
+	dir      string
+	opts     spec.PersistSpec
+	log      *wal.Log
+	counters *ShardCounters
 	// appliedSinceSnapshot counts WAL records since the last snapshot.
 	appliedSinceSnapshot int
 	// err is the first durability failure. Persistence is fail-open: the
@@ -183,7 +179,7 @@ func (a *actor) persistAfterRequest() {
 		}
 		p.counters.WALFsyncs.Add(1)
 	}
-	if p.canSnapshot && p.appliedSinceSnapshot >= p.opts.SnapshotEvery {
+	if p.appliedSinceSnapshot >= p.opts.SnapshotEvery {
 		a.persistSnapshot(true)
 	}
 }
@@ -194,17 +190,31 @@ func (a *actor) persistAfterRequest() {
 // published, so the snapshot never gets ahead of the durable log.
 func (a *actor) persistSnapshot(rotate bool) {
 	p := a.persist
-	snap, err := a.snapshot()
-	if err != nil {
-		p.fail(err)
-		return
-	}
-	blob, err := json.Marshal(snap)
-	if err != nil {
-		p.fail(err)
-		return
-	}
 	if err := p.log.Sync(); err != nil {
+		p.fail(err)
+		return
+	}
+	a.writeSnapshot()
+	if p.err != nil || !rotate {
+		return
+	}
+	if err := p.log.Close(); err != nil {
+		p.fail(err)
+		return
+	}
+	slot := a.loop.Slot()
+	p.startSegment(slot)
+	if p.err == nil && !p.opts.KeepLog {
+		_ = p.removeSegments(slot) // GC is advisory; the next rotation retries
+	}
+}
+
+// writeSnapshot atomically replaces the snapshot file with the actor's
+// current state.
+func (a *actor) writeSnapshot() {
+	p := a.persist
+	blob, err := json.Marshal(a.snapshot())
+	if err != nil {
 		p.fail(err)
 		return
 	}
@@ -214,43 +224,77 @@ func (a *actor) persistSnapshot(rotate bool) {
 	}
 	p.counters.WALSnapshots.Add(1)
 	p.appliedSinceSnapshot = 0
-	if !rotate {
+}
+
+// beginRestore runs before a restore changes the instance: it publishes the
+// current state, so no segment holds a record that recovery from a crash
+// before endRestore completes would need.
+func (a *actor) beginRestore() {
+	if p := a.persist; p != nil && p.err == nil {
+		a.persistSnapshot(false)
+	}
+}
+
+// endRestore makes a successful restore durable before the reply. Every
+// segment holds records of the abandoned trajectory, so all of them go,
+// under keep_log too: the recorded history restarts at the restore. Then
+// the restored state is published and a fresh segment starts at its slot.
+// A crash at any point of beginRestore, the restore and endRestore recovers
+// either the state before the restore or the state after it.
+func (a *actor) endRestore() {
+	p := a.persist
+	if p == nil || p.err != nil {
 		return
 	}
 	if err := p.log.Close(); err != nil {
 		p.fail(err)
 		return
 	}
-	nl, err := wal.Create(filepath.Join(p.dir, wal.SegmentName(snap.Slot)), snap.Slot, wal.SyncPolicy(p.opts.Fsync))
+	if err := p.removeSegments(math.MaxInt); err != nil {
+		p.fail(err)
+		return
+	}
+	a.writeSnapshot()
+	if p.err == nil {
+		p.startSegment(a.loop.Slot())
+	}
+}
+
+// startSegment makes a fresh segment at slot the append target.
+func (p *persister) startSegment(slot int) {
+	log, err := createSegment(p.dir, slot, p.opts.Fsync)
 	if err != nil {
 		p.fail(err)
 		return
 	}
-	p.log = nl
-	if !p.opts.KeepLog {
-		p.collectSegments(snap.Slot)
-	}
+	p.log = log
 }
 
-// collectSegments removes segments whose records are all covered by a
-// snapshot at keepFrom (their start slot is before it and rotation ended
-// them at it).
-func (p *persister) collectSegments(keepFrom int) {
+// removeSegments deletes every segment that starts before slot.
+func (p *persister) removeSegments(before int) error {
 	names, starts, err := wal.ListSegments(p.dir)
 	if err != nil {
-		return // GC is advisory; the next rotation retries
+		return err
 	}
 	for i, name := range names {
-		if starts[i] < keepFrom {
-			_ = os.Remove(filepath.Join(p.dir, name))
+		if starts[i] < before {
+			if err := os.Remove(filepath.Join(p.dir, name)); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
-// persistFinal is the actor's exit hook: a last snapshot (no rotation — the
-// tail segment stays, covering any policy without snapshot support) and a
-// clean log close. Skipped entirely on an abrupt close, which is what makes
-// CloseAbrupt a faithful in-process SIGKILL for the crash-recovery tests.
+// createSegment starts the segment of dir that holds records from slot on.
+func createSegment(dir string, slot int, fsync string) (*wal.Log, error) {
+	return wal.Create(filepath.Join(dir, wal.SegmentName(slot)), slot, wal.SyncPolicy(fsync))
+}
+
+// persistFinal is the actor's exit hook: a last snapshot (no rotation) and
+// a clean log close. Skipped entirely on an abrupt close, which is what
+// makes CloseAbrupt a faithful in-process SIGKILL for the crash-recovery
+// tests.
 func (a *actor) persistFinal() {
 	p := a.persist
 	if p == nil {
@@ -262,9 +306,7 @@ func (a *actor) persistFinal() {
 	if p.err != nil {
 		return
 	}
-	if p.canSnapshot {
-		a.persistSnapshot(false)
-	}
+	a.persistSnapshot(false)
 	if err := p.log.Close(); err != nil {
 		p.fail(err)
 	}
@@ -273,7 +315,7 @@ func (a *actor) persistFinal() {
 // setupPersist creates the on-disk state of a newly created instance: a
 // fresh directory (clobbering leftovers of an older same-name instance —
 // Create means a new trajectory), meta.json, and the first WAL segment.
-func (r *Registry) setupPersist(id string, canon spec.ScenarioSpec, opts spec.PersistSpec, canSnapshot bool, counters *ShardCounters) (*persister, error) {
+func (r *Registry) setupPersist(id string, canon spec.ScenarioSpec, opts spec.PersistSpec, counters *ShardCounters) (*persister, error) {
 	dir := r.instanceDir(id)
 	if err := os.RemoveAll(dir); err != nil {
 		return nil, fmt.Errorf("serve: reset instance dir: %w", err)
@@ -289,11 +331,11 @@ func (r *Registry) setupPersist(id string, canon spec.ScenarioSpec, opts spec.Pe
 	if err := wal.WriteFileAtomic(filepath.Join(dir, metaFile), blob); err != nil {
 		return nil, err
 	}
-	log, err := wal.Create(filepath.Join(dir, wal.SegmentName(0)), 0, wal.SyncPolicy(opts.Fsync))
+	log, err := createSegment(dir, 0, opts.Fsync)
 	if err != nil {
 		return nil, err
 	}
-	return &persister{dir: dir, opts: opts, log: log, counters: counters, canSnapshot: canSnapshot}, nil
+	return &persister{dir: dir, opts: opts, log: log, counters: counters}, nil
 }
 
 // readMeta loads and validates an instance directory's meta.json.
@@ -360,23 +402,19 @@ func (r *Registry) recoverOne(dir string) error {
 	if err != nil {
 		return err
 	}
-	loop, k, err := r.buildLoop(meta.Spec)
+	loop, learner, err := r.buildLoop(meta.Spec)
 	if err != nil {
 		return err
 	}
-	_, canSnapshot := loop.Policy().(policy.Snapshotter)
 
 	// Restore the latest snapshot, if any.
 	snapPath := filepath.Join(dir, snapshotFile)
 	if blob, err := os.ReadFile(snapPath); err == nil {
-		if !canSnapshot {
-			return fmt.Errorf("serve: snapshot file present but policy %q cannot restore it", loop.Policy().Name())
-		}
 		var snap Snapshot
 		if err := json.Unmarshal(blob, &snap); err != nil {
 			return fmt.Errorf("serve: decode snapshot: %w", err)
 		}
-		if err := restoreIntoLoop(loop, &snap); err != nil {
+		if err := restoreState(loop, learner, &snap); err != nil {
 			return err
 		}
 	} else if !os.IsNotExist(err) {
@@ -421,44 +459,20 @@ func (r *Registry) recoverOne(dir string) error {
 	}
 	if log == nil {
 		// No segments survived; start a fresh one at the recovered position.
-		log, err = wal.Create(filepath.Join(dir, wal.SegmentName(loop.Slot())), loop.Slot(), wal.SyncPolicy(meta.Persist.Fsync))
+		log, err = createSegment(dir, loop.Slot(), meta.Persist.Fsync)
 		if err != nil {
 			return err
 		}
 	}
 
-	if _, err := r.register(meta.ID, meta.Spec, k, loop, func(counters *ShardCounters) (*persister, error) {
+	if _, err := r.register(meta.ID, meta.Spec, loop, learner, func(counters *ShardCounters) (*persister, error) {
 		counters.Recovered.Add(1)
-		return &persister{dir: dir, opts: meta.Persist, log: log, counters: counters, canSnapshot: canSnapshot}, nil
+		return &persister{dir: dir, opts: meta.Persist, log: log, counters: counters}, nil
 	}); err != nil {
 		log.Close()
 		return err
 	}
 	return nil
-}
-
-// restoreIntoLoop installs a snapshot into a freshly built loop, validating
-// before mutating (the same ordering the actor's restore path uses).
-func restoreIntoLoop(loop *core.Loop, s *Snapshot) error {
-	snap, ok := loop.Policy().(policy.Snapshotter)
-	if !ok {
-		return fmt.Errorf("policy %q: %w", loop.Policy().Name(), ErrSnapshotUnsupported)
-	}
-	st := core.LoopState{
-		Slot:            s.Slot,
-		DecidedSlot:     s.DecidedSlot,
-		LastPlayed:      s.LastPlayed,
-		Winners:         s.Winners,
-		Strategy:        extgraph.Strategy(s.Strategy),
-		EstimatedWeight: s.EstimatedWeight,
-	}
-	if err := loop.ValidateState(st); err != nil {
-		return err
-	}
-	if err := snap.Restore(s.Learner); err != nil {
-		return err
-	}
-	return loop.RestoreState(st)
 }
 
 // ReadRecorded loads a persisted instance's identity and its recorded

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -78,19 +79,15 @@ func sumWAL(m *Metrics) (appends, snapshots, recovered int64) {
 // SIGKILL), recovered into a fresh registry from snapshot + WAL tail, and
 // must continue the exact trajectory of an uninterrupted run — winners,
 // strategy, decision slots, and estimated weights all bit-identical. The
-// eps-greedy case exercises the log-only path: its learner cannot snapshot,
-// so recovery replays the whole log from slot 0 through the same policy
-// RNG stream.
+// eps-greedy case recovers its random stream's position from the snapshot.
 func TestCrashRecoveryBitIdentical(t *testing.T) {
 	const (
 		slots = 120
 		cut   = 62 // mid-update-period for y=4: the decided strategy must survive
 	)
 	cases := []struct {
-		name        string
-		spec        spec.ScenarioSpec
-		wantSnaps   bool // snapshotting policy: assert snapshot + tail, not pure replay
-		wantSnapped bool
+		name string
+		spec spec.ScenarioSpec
 	}{
 		{
 			name: "gaussian",
@@ -101,7 +98,6 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 				Decision: spec.DecisionSpec{UpdateEvery: 4},
 				Persist:  spec.PersistSpec{Enabled: true, SnapshotEvery: 16},
 			},
-			wantSnaps: true,
 		},
 		{
 			name: "gilbert-elliott",
@@ -113,10 +109,9 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 				Decision:  spec.DecisionSpec{UpdateEvery: 4},
 				Persist:   spec.PersistSpec{Enabled: true, SnapshotEvery: 16},
 			},
-			wantSnaps: true,
 		},
 		{
-			name: "eps-greedy-log-only",
+			name: "eps-greedy",
 			spec: spec.ScenarioSpec{
 				Seed:     14,
 				Topology: spec.TopologySpec{N: 8, RequireConnected: true},
@@ -125,7 +120,6 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 				Decision: spec.DecisionSpec{UpdateEvery: 4},
 				Persist:  spec.PersistSpec{Enabled: true, SnapshotEvery: 16},
 			},
-			wantSnaps: false,
 		},
 	}
 	for _, tc := range cases {
@@ -157,13 +151,14 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 			if appends != cut {
 				t.Fatalf("WAL appends = %d, want %d", appends, cut)
 			}
-			if tc.wantSnaps && snaps == 0 {
+			if snaps == 0 {
 				t.Fatal("no snapshot published before the cut; recovery would not exercise snapshot + tail")
 			}
-			if !tc.wantSnaps && snaps != 0 {
-				t.Fatalf("non-snapshotting policy published %d snapshots", snaps)
-			}
 			reg1.CloseAbrupt()
+			instDir, _ := h1.Persisted()
+			if _, starts, err := wal.ListSegments(instDir); err != nil || len(starts) != 1 || starts[0] == 0 {
+				t.Fatalf("segments after the cut start at %v (%v); want one rotated segment", starts, err)
+			}
 
 			// Recover into a fresh registry and continue.
 			reg2 := NewRegistry(RegistryConfig{Persist: PersistOptions{DataDir: dir}})
@@ -192,6 +187,108 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 			got = drivePersist(t, h2, cut, slots)
 			assertSameTrajectory(t, want, got, cut)
 		})
+	}
+}
+
+// TestRestoreIsDurable checks that a restore replaces the persisted
+// trajectory. An instance is snapshotted at slot 40, driven on to slot 90
+// with different rewards, restored to the slot-40 snapshot, driven to slot
+// 70 and killed abruptly; it must recover at slot 70 on the restored
+// trajectory. The cadences place the segments the restore abandons: one
+// unrotated segment holding every record (1000), rotated segments past the
+// restored slot (16), and, under keep_log, a segment starting exactly at
+// the restored slot (20). Under keep_log the recorded history restarts at
+// the restore.
+func TestRestoreIsDurable(t *testing.T) {
+	const (
+		snapAt    = 40
+		abandonAt = 90
+		killAt    = 70
+		slots     = 100
+	)
+	for _, every := range []int{1000, 16, 20} {
+		for _, keep := range []bool{false, true} {
+			t.Run(fmt.Sprintf("every-%d/keep-log-%v", every, keep), func(t *testing.T) {
+				sp := spec.ScenarioSpec{
+					Seed:     8,
+					Topology: spec.TopologySpec{N: 10, RequireConnected: true},
+					Channel:  spec.ChannelSpec{M: 2},
+					Decision: spec.DecisionSpec{UpdateEvery: 4},
+					Persist:  spec.PersistSpec{Enabled: true, SnapshotEvery: every, KeepLog: keep},
+				}
+				ref := NewRegistry(RegistryConfig{})
+				defer ref.Close()
+				full, err := ref.Create(InstanceConfig{Spec: sp})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := drivePersist(t, full, 0, slots)
+
+				dir := t.TempDir()
+				reg1 := NewRegistry(RegistryConfig{Persist: PersistOptions{DataDir: dir}})
+				h1, err := reg1.Create(InstanceConfig{ID: "inst", Spec: sp})
+				if err != nil {
+					t.Fatal(err)
+				}
+				instDir, _ := h1.Persisted()
+				drivePersist(t, h1, 0, snapAt)
+				snap, err := h1.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := snapAt; s < abandonAt; s++ {
+					as, err := h1.Assignment()
+					if err != nil {
+						t.Fatal(err)
+					}
+					rewards := make([]float64, len(as.Winners))
+					for i := range rewards {
+						rewards[i] = 1 - persistRewardAt(s, i)
+					}
+					if _, err := h1.Observe([]ObservationBatch{{Played: as.Winners, Rewards: rewards}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := h1.Restore(snap); err != nil {
+					t.Fatal(err)
+				}
+				assertSameTrajectory(t, want, drivePersist(t, h1, snapAt, killAt), snapAt)
+				reg1.CloseAbrupt()
+
+				if keep {
+					_, recs, err := ReadRecorded(instDir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					first := -1
+					if len(recs) > 0 {
+						first = recs[0].Slot
+					}
+					if len(recs) != killAt-snapAt || first != snapAt {
+						t.Fatalf("recorded %d slots from slot %d, want %d from %d",
+							len(recs), first, killAt-snapAt, snapAt)
+					}
+				}
+
+				reg2 := NewRegistry(RegistryConfig{Persist: PersistOptions{DataDir: dir}})
+				defer reg2.Close()
+				if n, err := reg2.Recover(); err != nil || n != 1 {
+					t.Fatalf("recover: %v (%d instances)", err, n)
+				}
+				h2, ok := reg2.Get("inst")
+				if !ok {
+					t.Fatal("recovered instance not registered")
+				}
+				info, err := h2.Info()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Slot != killAt {
+					t.Fatalf("recovered at slot %d, want %d", info.Slot, killAt)
+				}
+				assertSameTrajectory(t, want, drivePersist(t, h2, killAt, slots), killAt)
+			})
+		}
 	}
 }
 

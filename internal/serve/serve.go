@@ -57,11 +57,6 @@ var ErrClosed = errors.New("serve: instance closed")
 // already taken.
 var ErrExists = errors.New("serve: instance already exists")
 
-// ErrSnapshotUnsupported is returned (wrapped) by snapshot and restore on
-// instances whose policy cannot export learner state (ε-greedy: its random
-// stream cannot be captured).
-var ErrSnapshotUnsupported = errors.New("serve: policy does not support snapshots")
-
 // ErrExecutionUnsupported is returned (wrapped) by Create for specs whose
 // decision.execution the serving runtime does not host. The distnet
 // execution spawns one goroutine per extended-graph vertex plus transport
@@ -205,10 +200,7 @@ func (r *Registry) ShardOf(id string) int {
 // channel count, seed) share topology, extended graph, catalog means and
 // protocol runtime through the registry's cache.
 //
-// The JSON form is {"id": ..., "spec": {...}}. The pre-spec flat form
-// ({"n":10,"m":2,"seed":1,...}) is still accepted and maps 1:1 onto a
-// random-topology gaussian spec — the construction streams are unchanged,
-// so legacy payloads create bit-identical instances.
+// The JSON form is {"id": ..., "spec": {...}}.
 type InstanceConfig struct {
 	// ID names the instance; empty generates "inst-<n>".
 	ID string `json:"id,omitempty"`
@@ -216,87 +208,14 @@ type InstanceConfig struct {
 	Spec spec.ScenarioSpec `json:"spec"`
 }
 
-// flatInstanceConfig is the legacy flat JSON shape of InstanceConfig, kept
-// so pre-spec clients keep working. It maps 1:1 onto a ScenarioSpec.
-type flatInstanceConfig struct {
-	ID               string  `json:"id,omitempty"`
-	N                int     `json:"n"`
-	M                int     `json:"m"`
-	Seed             int64   `json:"seed"`
-	NoiseSeed        int64   `json:"noise_seed,omitempty"`
-	TargetDegree     float64 `json:"target_degree,omitempty"`
-	RequireConnected bool    `json:"require_connected,omitempty"`
-	Policy           string  `json:"policy,omitempty"`
-	Gamma            float64 `json:"gamma,omitempty"`
-	R                int     `json:"r,omitempty"`
-	D                int     `json:"d,omitempty"`
-	UpdateEvery      int     `json:"update_every,omitempty"`
-	Sigma            float64 `json:"sigma,omitempty"`
-}
-
-// spec maps the flat fields onto the equivalent scenario spec. Gamma only
-// travels for the discounted policy: the legacy fill validated (and used)
-// it solely there and ignored it otherwise, and the strict spec would
-// reject a stray gamma — preserving exactly the set of payloads that
-// worked before.
-func (f flatInstanceConfig) spec() spec.ScenarioSpec {
-	gamma := 0.0
-	if f.Policy == spec.PolicyDiscountedZhouLi {
-		gamma = f.Gamma
-	}
-	return spec.ScenarioSpec{
-		Seed:      f.Seed,
-		NoiseSeed: f.NoiseSeed,
-		Topology: spec.TopologySpec{
-			Kind:             spec.TopologyRandom,
-			N:                f.N,
-			TargetDegree:     f.TargetDegree,
-			RequireConnected: f.RequireConnected,
-		},
-		Channel: spec.ChannelSpec{
-			Kind:  spec.ChannelGaussian,
-			M:     f.M,
-			Sigma: f.Sigma,
-		},
-		Policy: spec.PolicySpec{
-			Kind:  f.Policy,
-			Gamma: gamma,
-		},
-		Decision: spec.DecisionSpec{
-			R:           f.R,
-			D:           f.D,
-			UpdateEvery: f.UpdateEvery,
-		},
-	}
-}
-
-// UnmarshalJSON accepts both config shapes, strictly (unknown fields are
-// rejected in either): the spec form {"id","spec"} and the legacy flat
-// form, detected by the absence of a "spec" key.
+// UnmarshalJSON decodes strictly: an unknown field, at the top level or
+// inside the spec, is an error. Both planes rely on it — the wire plane's
+// create decodes with plain json.Unmarshal.
 func (c *InstanceConfig) UnmarshalJSON(data []byte) error {
-	var probe map[string]json.RawMessage
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return err
-	}
-	if _, ok := probe["spec"]; ok {
-		type plain InstanceConfig
-		var p plain
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&p); err != nil {
-			return err
-		}
-		*c = InstanceConfig(p)
-		return nil
-	}
-	var f flatInstanceConfig
+	type plain InstanceConfig
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		return err
-	}
-	*c = InstanceConfig{ID: f.ID, Spec: f.spec()}
-	return nil
+	return dec.Decode((*plain)(c))
 }
 
 // NoiseStream derives the channel-process stream of an instance with the
@@ -307,27 +226,32 @@ func NoiseStream(noiseSeed int64) *rng.Source {
 }
 
 // buildLoop constructs a scenario's slot kernel through the registry's
-// artifact cache — the single construction path Create and Recover share.
-func (r *Registry) buildLoop(canon spec.ScenarioSpec) (*core.Loop, int, error) {
+// artifact cache — the single construction path Create and Recover share —
+// and returns it with its policy's snapshot interface.
+func (r *Registry) buildLoop(canon spec.ScenarioSpec) (*core.Loop, policy.Snapshotter, error) {
 	if canon.Decision.Execution != spec.ExecutionDecider {
-		return nil, 0, fmt.Errorf("%w: %q", ErrExecutionUnsupported, canon.Decision.Execution)
+		return nil, nil, fmt.Errorf("%w: %q", ErrExecutionUnsupported, canon.Decision.Execution)
 	}
 	inst, err := r.cache.Scenario(canon)
 	if err != nil {
-		return nil, 0, fmt.Errorf("serve: instance artifacts: %w", err)
+		return nil, nil, fmt.Errorf("serve: instance artifacts: %w", err)
 	}
 	rt, err := inst.Runtime(canon.Decision.R, canon.Decision.D)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	sampler, err := spec.BuildSampler(canon, inst.Means)
 	if err != nil {
-		return nil, 0, fmt.Errorf("serve: instance channels: %w", err)
+		return nil, nil, fmt.Errorf("serve: instance channels: %w", err)
 	}
 	pol, err := spec.BuildPolicy(canon.Policy, inst.Ext.K(), inst.Ext.N,
 		sampler.Means(), spec.PolicyStream(canon.NoiseSeed))
 	if err != nil {
-		return nil, 0, fmt.Errorf("serve: instance policy: %w", err)
+		return nil, nil, fmt.Errorf("serve: instance policy: %w", err)
+	}
+	learner, ok := pol.(policy.Snapshotter)
+	if !ok {
+		return nil, nil, fmt.Errorf("serve: policy %q cannot snapshot its learner state", pol.Name())
 	}
 	// Instances over the same cached Runtime batch their boundary decides
 	// through one shared scratch arena (per-decider caches stay private).
@@ -342,15 +266,15 @@ func (r *Registry) buildLoop(canon spec.ScenarioSpec) (*core.Loop, int, error) {
 		UpdateEvery: canon.Decision.UpdateEvery,
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	return loop, inst.Ext.K(), nil
+	return loop, learner, nil
 }
 
 // register builds the handle and actor around a constructed loop, claims
 // the ID on its shard, sets up persistence via mkPersist (nil = none; an
 // error there unregisters and fails the call), and starts the actor.
-func (r *Registry) register(id string, canon spec.ScenarioSpec, k int, loop *core.Loop,
+func (r *Registry) register(id string, canon spec.ScenarioSpec, loop *core.Loop, learner policy.Snapshotter,
 	mkPersist func(counters *ShardCounters) (*persister, error)) (*Instance, error) {
 	si, sh := r.shardFor(id)
 	stats := &instanceStats{}
@@ -363,13 +287,14 @@ func (r *Registry) register(id string, canon spec.ScenarioSpec, k int, loop *cor
 		counters: &r.metrics.Shards[si],
 		stats:    stats,
 		loop:     loop,
+		learner:  learner,
 		abrupt:   abrupt,
 	}
 	h := &Instance{
 		id:      id,
 		shard:   si,
 		spec:    canon,
-		k:       k,
+		k:       loop.Ext().K(),
 		stats:   stats,
 		abrupt:  abrupt,
 		mailbox: make(chan request, r.mailbox),
@@ -412,17 +337,16 @@ func (r *Registry) Create(cfg InstanceConfig) (*Instance, error) {
 	if id == "" {
 		id = fmt.Sprintf("inst-%d", r.nextID.Add(1))
 	}
-	loop, k, err := r.buildLoop(canon)
+	loop, learner, err := r.buildLoop(canon)
 	if err != nil {
 		return nil, err
 	}
 	var mkPersist func(counters *ShardCounters) (*persister, error)
 	if opts, on := r.effectivePersist(canon); on {
-		_, canSnapshot := loop.Policy().(policy.Snapshotter)
 		// id is captured by reference: the retry loop below may regenerate
 		// it before registration reaches the callback.
 		mkPersist = func(counters *ShardCounters) (*persister, error) {
-			return r.setupPersist(id, canon, opts, canSnapshot, counters)
+			return r.setupPersist(id, canon, opts, counters)
 		}
 	}
 
@@ -433,7 +357,7 @@ func (r *Registry) Create(cfg InstanceConfig) (*Instance, error) {
 	// artifacts above are reused across retries.
 	auto := cfg.ID == ""
 	for {
-		h, err := r.register(id, canon, k, loop, mkPersist)
+		h, err := r.register(id, canon, loop, learner, mkPersist)
 		if err != nil {
 			if auto && errors.Is(err, ErrExists) {
 				id = fmt.Sprintf("inst-%d", r.nextID.Add(1))

@@ -101,92 +101,20 @@ func TestCreateValidation(t *testing.T) {
 	}
 }
 
-// TestLegacyFlatJSONMapsToCanonicalSpec pins the compatibility contract:
-// the pre-spec flat InstanceConfig JSON decodes to exactly the canonical
-// spec its field-by-field translation produces.
-func TestLegacyFlatJSONMapsToCanonicalSpec(t *testing.T) {
-	legacy := `{
-		"id": "legacy-1",
-		"n": 10, "m": 2, "seed": 7, "noise_seed": 42,
-		"target_degree": 5.5, "require_connected": true,
-		"policy": "discounted-zhou-li", "gamma": 0.97,
-		"r": 3, "d": 6, "update_every": 4, "sigma": 0.1
-	}`
-	var cfg InstanceConfig
-	if err := json.Unmarshal([]byte(legacy), &cfg); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cfg.Spec.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := spec.ScenarioSpec{
-		Seed:      7,
-		NoiseSeed: 42,
-		Topology: spec.TopologySpec{
-			Kind: spec.TopologyRandom, N: 10,
-			TargetDegree: 5.5, RequireConnected: true,
-		},
-		Channel: spec.ChannelSpec{Kind: spec.ChannelGaussian, M: 2, Sigma: 0.1},
-		Policy:  spec.PolicySpec{Kind: spec.PolicyDiscountedZhouLi, Gamma: 0.97},
-		Decision: spec.DecisionSpec{
-			R: 3, D: 6, UpdateEvery: 4,
-		},
-	}.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.ID != "legacy-1" || got != want {
-		t.Fatalf("legacy mapping:\n got %+v\nwant %+v", got, want)
-	}
-
-	// A stray gamma on a non-discounted policy was silently ignored by the
-	// legacy fill; the flat mapping must keep accepting (and ignoring) it.
-	if err := json.Unmarshal([]byte(`{"n":8,"m":2,"seed":1,"policy":"zhou-li","gamma":0.99}`), &cfg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cfg.Spec.Canonical(); err != nil {
-		t.Fatalf("legacy stray gamma should stay accepted: %v", err)
-	}
-
-	// Unknown fields are rejected in the flat shape too.
-	if err := json.Unmarshal([]byte(`{"n":8,"m":2,"frobnicate":true}`), &cfg); err == nil {
-		t.Fatal("unknown flat field should be rejected")
-	}
-	// And in the spec shape.
-	if err := json.Unmarshal([]byte(`{"spec":{"seed":1,"topology":{"n":8},"channel":{"m":2},"bogus":1}}`), &cfg); err == nil {
-		t.Fatal("unknown spec field should be rejected")
-	}
-}
-
-// TestSnapshotUnsupportedTyped checks ε-greedy instances (creatable via
-// spec) fail snapshot and restore with the typed sentinel rather than a
-// panic or a zero snapshot.
-func TestSnapshotUnsupportedTyped(t *testing.T) {
-	reg := NewRegistry(RegistryConfig{})
-	defer reg.Close()
-	s := gaussSpec(8, 2, 1)
-	s.Policy = spec.PolicySpec{Kind: spec.PolicyEpsGreedy}
-	h, err := reg.Create(InstanceConfig{Spec: s})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Step(10); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := h.Snapshot()
-	if !errors.Is(err, ErrSnapshotUnsupported) {
-		t.Fatalf("snapshot on eps-greedy: err = %v, want ErrSnapshotUnsupported", err)
-	}
-	if snap != nil {
-		t.Fatalf("snapshot on eps-greedy returned %+v, want nil", snap)
-	}
-	if err := h.Restore(&Snapshot{}); !errors.Is(err, ErrSnapshotUnsupported) {
-		t.Fatalf("restore on eps-greedy: err = %v, want ErrSnapshotUnsupported", err)
-	}
-	// The instance still serves after the rejected operations.
-	if _, err := h.Step(1); err != nil {
-		t.Fatal(err)
+// TestInstanceConfigRejectsUnknownFields pins strict decoding: an unknown
+// field at the top level or inside the spec fails, and so does the retired
+// pre-spec flat shape, whose fields InstanceConfig does not define.
+func TestInstanceConfigRejectsUnknownFields(t *testing.T) {
+	for _, body := range []string{
+		`{"n":8,"m":2,"frobnicate":true}`,
+		`{"id":"flat","n":8,"m":2,"seed":1}`,
+		`{"spec":{"seed":1,"topology":{"n":8},"channel":{"m":2}},"bogus":1}`,
+		`{"spec":{"seed":1,"topology":{"n":8},"channel":{"m":2},"bogus":1}}`,
+	} {
+		var cfg InstanceConfig
+		if err := json.Unmarshal([]byte(body), &cfg); err == nil {
+			t.Errorf("%s decoded without error", body)
+		}
 	}
 }
 

@@ -34,8 +34,7 @@
 // Canonicalization is part of the repository's bit-identity contract: the
 // canonical spec alone determines every random stream the builders consume
 // (see build.go), so equal canonical specs always produce bit-identical
-// trajectories, and the legacy flat serve.InstanceConfig maps onto a spec
-// without changing any stream derivation.
+// trajectories.
 package spec
 
 import (
@@ -554,9 +553,7 @@ func (d *DecisionSpec) fill() error {
 // Persist is operational configuration, not scenario identity: it changes
 // no random stream and no trajectory, it does not contribute to the
 // ArtifactKey, and it is silently inert when the server runs without a data
-// directory. Policies without snapshot support (eps-greedy) persist the log
-// only; the runtime keeps every segment for them and recovery replays from
-// slot 0, regardless of SnapshotEvery/KeepLog.
+// directory.
 type PersistSpec struct {
 	// Enabled switches persistence on for this instance. A banditd started
 	// with -persist-all persists every instance regardless.
@@ -568,6 +565,8 @@ type PersistSpec struct {
 	Fsync string `json:"fsync,omitempty"`
 	// KeepLog retains superseded WAL segments after a snapshot makes them
 	// redundant (for record/replay); by default they are garbage-collected.
+	// A restore deletes every segment regardless, so the kept history
+	// restarts at the restored slot.
 	KeepLog bool `json:"keep_log,omitempty"`
 }
 

@@ -89,8 +89,6 @@ func errStatus(err error) byte {
 		return StatusInstanceClosed
 	case errors.Is(err, serve.ErrExists):
 		return StatusAlreadyExists
-	case errors.Is(err, serve.ErrSnapshotUnsupported):
-		return StatusSnapshotUnsupported
 	case errors.As(err, &ke) || errors.As(err, &fe) || errors.As(err, &ve):
 		return StatusInvalidSpec
 	default:
@@ -112,8 +110,6 @@ func statusError(status byte, msg string) error {
 		code, httpStatus = serve.CodeAlreadyExists, http.StatusConflict
 	case StatusInstanceClosed:
 		code, httpStatus = serve.CodeInstanceClosed, http.StatusGone
-	case StatusSnapshotUnsupported:
-		code, httpStatus = serve.CodeSnapshotUnsupported, http.StatusConflict
 	case StatusInternal:
 		code, httpStatus = "internal", http.StatusInternalServerError
 	}

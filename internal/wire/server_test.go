@@ -149,6 +149,45 @@ func TestWireWorkflow(t *testing.T) {
 	}
 }
 
+// TestWireCreateRejectsUnknownFields sends raw create frames whose JSON
+// carries fields InstanceConfig does not define: one at the top level, one
+// inside the spec, and the retired flat shape. The server decodes the
+// payload with plain json.Unmarshal, so it is strict only because
+// InstanceConfig is; every frame must fail with StatusInvalidRequest and
+// create nothing.
+func TestWireCreateRejectsUnknownFields(t *testing.T) {
+	reg, _, addr := startServer(t, 1)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+	var dec Decoder
+	for i, body := range []string{
+		`{"id":"top","spec":{"seed":1,"topology":{"n":8},"channel":{"m":2}},"bogus":1}`,
+		`{"id":"nested","spec":{"seed":1,"topology":{"n":8},"channel":{"m":2},"bogus":1}}`,
+		`{"id":"flat","n":8,"m":2,"seed":1}`,
+	} {
+		var e Encoder
+		e.Begin(OpCreate, uint64(i+1), StatusOK, 0)
+		e.PutBytes([]byte(body))
+		e.End()
+		if _, err := nc.Write(e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.ReadFrame(nc); err != nil {
+			t.Fatal(err)
+		}
+		if dec.Status != StatusInvalidRequest {
+			t.Errorf("create %s: status %d (%q), want %d", body, dec.Status, dec.Str(), StatusInvalidRequest)
+		}
+	}
+	if infos := reg.List(); len(infos) != 0 {
+		t.Fatalf("rejected creates left instances: %+v", infos)
+	}
+}
+
 // TestWireShardAffinity checks the client routes an instance's requests to
 // the connection matching its registry shard: after traffic to instances
 // on every shard, the client holds at most one connection per shard and

@@ -127,16 +127,16 @@ const (
 
 // Response status codes. They map 1:1 onto the HTTP API's structured error
 // codes (serve.Code*), so a client can surface the same typed errors on
-// either plane.
+// either plane. Byte 6 is retired and stays unassigned, so a peer built
+// against an older table never reads a new meaning into it.
 const (
-	StatusOK                  = 0
-	StatusInvalidRequest      = 1
-	StatusInvalidSpec         = 2
-	StatusNotFound            = 3
-	StatusAlreadyExists       = 4
-	StatusInstanceClosed      = 5
-	StatusSnapshotUnsupported = 6
-	StatusInternal            = 7
+	StatusOK             = 0
+	StatusInvalidRequest = 1
+	StatusInvalidSpec    = 2
+	StatusNotFound       = 3
+	StatusAlreadyExists  = 4
+	StatusInstanceClosed = 5
+	StatusInternal       = 7
 )
 
 // Decode errors. ReadFrame and the payload cursor return these (wrapped
