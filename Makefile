@@ -12,7 +12,7 @@ BANDITD_BINARY_ADDR ?= 127.0.0.1:8660
 # Fig. 7 replication) through the shared slot kernel.
 GOLDEN_ARGS = -exp all -seed 1 -slots 300 -periods 40 -reps 3
 
-.PHONY: all build fmt-check vet test race bench bench-smoke bench-serve bench-sim bench-decide bench-wal bench-obs bench-cluster serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke verify-golden update-golden figures ci
+.PHONY: all build fmt-check vet test race stackbench-test bench bench-smoke bench-serve bench-sim bench-decide bench-wal bench-obs bench-cluster serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke verify-golden update-golden figures ci
 
 # Committed ScenarioSpec files driven by spec-smoke: one per channel kind
 # (gaussian, gilbert-elliott, shifting) plus the primary-user wrapper.
@@ -37,6 +37,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The serving-stack benchmark (BENCHMARK.json) is a module of its own, so
+# the root ./... skips it. Its tests check that every rung reproduces the
+# serial replay digest.
+stackbench-test:
+	cd stackbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full benchmark suite (slow; regenerates every figure several times).
 bench:
@@ -258,4 +264,4 @@ update-golden:
 figures:
 	$(GO) run ./cmd/figgen -exp all -v
 
-ci: build fmt-check vet race bench-smoke serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke dist-smoke verify-golden
+ci: build fmt-check vet race stackbench-test bench-smoke serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke dist-smoke verify-golden

@@ -2,21 +2,12 @@ package mwis
 
 import "math/bits"
 
-// bitset is a fixed-capacity bit vector over vertex ids. All sets inside one
-// exact-solver instance share the same word length.
+// bitset is a fixed-capacity bit vector over vertex ids or ranks. All sets
+// inside one exact-solver instance share the same word length.
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
-func (b bitset) clear(i int)    { b[i/64] &^= 1 << (uint(i) % 64) }
-func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
-
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
-}
+func (b bitset) set(i int)   { b[i/64] |= 1 << (uint(i) % 64) }
+func (b bitset) clear(i int) { b[i/64] &^= 1 << (uint(i) % 64) }
 
 // andNot stores a &^ mask into dst (dst may alias a).
 func (b bitset) andNotInto(mask, dst bitset) {
@@ -25,21 +16,23 @@ func (b bitset) andNotInto(mask, dst bitset) {
 	}
 }
 
-func (b bitset) count() int {
-	total := 0
-	for _, w := range b {
-		total += bits.OnesCount64(w)
+// next returns the lowest set bit at or above i, or -1 if there is none.
+func (b bitset) next(i int) int {
+	wi := i / 64
+	if wi >= len(b) {
+		return -1
 	}
-	return total
-}
-
-func (b bitset) empty() bool {
-	for _, w := range b {
+	w := b[wi] >> (uint(i) % 64) << (uint(i) % 64)
+	for {
 		if w != 0 {
-			return false
+			return wi*64 + bits.TrailingZeros64(w)
 		}
+		wi++
+		if wi == len(b) {
+			return -1
+		}
+		w = b[wi]
 	}
-	return true
 }
 
 // forEach calls fn for every set bit in ascending order.
@@ -51,11 +44,4 @@ func (b bitset) forEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// members returns the set bits in ascending order.
-func (b bitset) members() []int {
-	out := make([]int, 0, b.count())
-	b.forEach(func(i int) { out = append(out, i) })
-	return out
 }

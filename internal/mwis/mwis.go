@@ -20,8 +20,10 @@ package mwis
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"multihopbandit/internal/graph"
 )
@@ -42,9 +44,16 @@ func (in Instance) Validate() error {
 	if len(in.W) != in.G.N() {
 		return fmt.Errorf("mwis: %d weights for %d vertices", len(in.W), in.G.N())
 	}
-	for v, w := range in.W {
-		if w < 0 {
-			return fmt.Errorf("mwis: negative weight %v at vertex %d", w, v)
+	return checkWeights(in.W)
+}
+
+// checkWeights rejects negative and NaN weights: the bound assumes weights
+// are non-negative, and the exact search sorts vertices by weight, which
+// needs a total order.
+func checkWeights(w []float64) error {
+	for v, x := range w {
+		if x < 0 || math.IsNaN(x) {
+			return fmt.Errorf("mwis: invalid weight %v at vertex %d", x, v)
 		}
 	}
 	return nil
@@ -125,10 +134,13 @@ func (Greedy) Solve(in Instance) ([]int, error) {
 // budget before proving optimality.
 var ErrBudgetExceeded = errors.New("mwis: branch-and-bound budget exceeded")
 
-// Exact is an exact branch-and-bound MWIS solver. The upper bound is a
-// greedy clique partition (each clique contributes at most its heaviest
-// remaining member), which is tight on the extended conflict graph H where
-// every node's channel copies form a clique.
+// Exact is an exact branch-and-bound MWIS solver. It branches on the
+// heaviest remaining vertex (ties toward the lower id), including it first.
+// The upper bound is a greedy clique partition (each clique contributes at
+// most its heaviest remaining member), which is tight on the extended
+// conflict graph H where every node's channel copies form a clique. Each
+// search first relabels the instance by descending weight, so that both the
+// pivot and the bound are bit scans (see search).
 type Exact struct {
 	// MaxNodes rejects instances larger than this (0 = 4096) to guard
 	// against accidentally exponential calls.
@@ -146,45 +158,36 @@ func (Exact) Name() string { return "exact" }
 
 // Solve implements Solver. On ErrBudgetExceeded the returned set is still a
 // valid independent set (the incumbent), so callers may treat the error as a
-// quality downgrade rather than a failure.
+// quality downgrade rather than a failure. An empty optimum is an empty,
+// non-nil slice.
 func (e Exact) Solve(in Instance) ([]int, error) {
-	if err := in.Validate(); err != nil {
+	ws := workspaces.Get().(*Workspace)
+	defer workspaces.Put(ws)
+	set, err := e.SolveWorkspace(in, ws)
+	if err != nil && !errors.Is(err, ErrBudgetExceeded) {
 		return nil, err
 	}
-	maxNodes := e.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = 4096
-	}
-	n := in.G.N()
-	if n > maxNodes {
-		return nil, fmt.Errorf("mwis: instance with %d vertices exceeds MaxNodes=%d", n, maxNodes)
-	}
-	if n == 0 {
-		return []int{}, nil
-	}
-	st := newSearch(in, e.Budget, nil)
-	full := newBitset(n)
-	for i := 0; i < n; i++ {
-		full.set(i)
-	}
-	exhausted := st.branch(full, 0, newBitset(n), 0)
-	out := st.best.members()
-	sort.Ints(out)
-	if !exhausted {
-		return out, ErrBudgetExceeded
-	}
-	return out, nil
+	return append([]int{}, set...), err
 }
 
+// workspaces lends Exact.Solve a warm Workspace. A fresh one per call
+// allocates every buffer of the search, which on the small balls of the
+// distributed executions costs more than the search itself; the result is
+// copied out, so no caller sees the workspace.
+var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
+
+// search is the branch-and-bound state of one exact solve. It works in rank
+// space: rank r is the r-th vertex by descending weight, ties toward the
+// lower id. That is the order the pivot rule picks vertices in, so the
+// pivot is the lowest remaining rank, and the lowest remaining rank of a
+// clique is its heaviest remaining member.
 type search struct {
-	n        int
-	adj      []bitset // closed neighborhoods are adj[v] plus v itself
-	w        []float64
-	clique   []int // clique id per vertex from a greedy clique partition
-	ncliques int
-	best     bitset
-	bestW    float64
-	budget   int // remaining nodes; negative means unlimited
+	w      []float64 // weight per rank, non-increasing
+	adj    []bitset  // adj[r]: the ranks adjacent to r
+	cmask  bitset    // cmask[wi*n+r]: word wi of the ranks in r's clique, r included
+	best   bitset
+	bestW  float64
+	budget int // remaining nodes; negative means unlimited
 
 	// Comparison-slack certificate (TrackSlack): slack is the minimum
 	// |lhs−rhs| margin, pre-scaled per comparison kind, over every
@@ -201,15 +204,15 @@ type search struct {
 	// never deposited), and pruned subtrees deposit their curW+ub bound,
 	// which dominates every set inside them. bestW − u is then the gap to
 	// the second-best independent set, and an L1 drift strictly below it
-	// keeps the optimum unique (see exactPrepared for why that alone
+	// keeps the optimum unique (see Hybrid.SolvePrepared for why that alone
 	// certifies a replay when the node budget guarantees exhaustion).
 	track bool
 	slack float64
 	u     float64
 
-	// Reusable buffers: cliqueMax for the upper bound, and one pair of
-	// bitsets per recursion depth for the include/exclude branches.
-	cliqueMax []float64
+	// Reusable buffers: left for the bound's walk, and one pair of bitsets
+	// per recursion depth for the include/exclude branches.
+	left      bitset
 	depthBufs [][2]bitset
 }
 
@@ -225,75 +228,89 @@ func (st *search) note(diff float64) {
 	}
 }
 
-// newSearch prepares the branch-and-bound state. With a nil workspace every
-// buffer is freshly allocated; with a workspace, buffers (including the
-// search struct itself) are reused across solves — the resulting search is
-// bit-for-bit equivalent either way.
-func newSearch(in Instance, budget int, ws *Workspace) *search {
-	n := in.G.N()
-	var st *search
-	if ws != nil {
-		st = &ws.st
-		*st = search{n: n, w: in.W}
-	} else {
-		st = &search{n: n, w: in.W}
-	}
+// exact runs the budgeted branch and bound over p under weights w, drawing
+// every buffer from ws. It returns the incumbent as ascending vertex ids
+// (aliasing ws) and whether the search exhausted. With track set, ws.st
+// holds both slack certificates afterwards.
+//
+// The rank-space search is the id-space branch and bound with the bound's
+// clique maxima summed by rank instead of by id. Rounding can differ in the
+// last bit, which flips a prune only where it lies within rounding of a
+// tie, and the returned set or budget outcome can then differ; elsewhere
+// pivots, prunes, incumbents and budget spending are the same.
+// reference_test.go keeps the id-space search and checks this.
+func (ws *Workspace) exact(p *Prepared, w []float64, budget int, track bool) ([]int, bool) {
+	n, words := p.n, p.words
+	st := &ws.st
+	*st = search{w: growFloats(&ws.rw, n), budget: budget, track: track}
 	if budget <= 0 {
 		st.budget = -1
-	} else {
-		st.budget = budget
 	}
-	// All of the search's 3n+3 bitsets (adjacency, best, two per depth)
-	// come out of one arena allocation: the solver runs per LocalLeader per
-	// mini-round in the protocol simulator, where 3n tiny allocations per
-	// solve dominated the allocation profile. A workspace keeps the arena
-	// (zeroed before reuse — set-only bitsets rely on a clean start).
-	words := (n + 63) / 64
-	need := words * (3*n + 3)
-	var arena bitset
-	if ws != nil {
-		if cap(ws.arena) < need {
-			ws.arena = make(bitset, need)
-		}
-		arena = ws.arena[:need]
-		for i := range arena {
-			arena[i] = 0
-		}
-		st.adj = growInts2(&ws.adj, n)
-		st.depthBufs = growDepth(&ws.depthBufs, n+1)
-	} else {
-		arena = make(bitset, need)
-		st.adj = make([]bitset, n)
-		st.depthBufs = make([][2]bitset, n+1)
+	if track {
+		st.slack = math.Inf(1)
 	}
+	order := growInts(&ws.order, n)
+	for i := range order {
+		order[i] = i
+	}
+	sortByWeight(order, w)
+	rank := growInts(&ws.rank, n)
+	for r, v := range order {
+		rank[v] = r
+		st.w[r] = w[v]
+	}
+	// Every bitset of the search comes out of one zeroed arena: the rank
+	// adjacency, one mask per clique and its copy per rank, the incumbent,
+	// the bound's scratch, the full and chosen sets, the result in id space,
+	// and two per recursion depth.
+	need := words * (2*n + p.ncliques + 2*(n+1) + 5)
+	if cap(ws.arena) < need {
+		ws.arena = make(bitset, need)
+	}
+	arena := ws.arena[:need]
+	clear(arena)
 	take := func() bitset {
 		b := arena[:words:words]
 		arena = arena[words:]
 		return b
 	}
-	st.best = take()
-	for v := 0; v < n; v++ {
-		b := take()
-		for _, u := range in.G.Neighbors(v) {
-			b.set(u)
+	st.adj = growInts2(&ws.adj, n)
+	for r, v := range order {
+		row := take()
+		p.adj[v].forEach(func(u int) { row.set(rank[u]) })
+		st.adj[r] = row
+	}
+	// Clique masks are stored word-major, so that the bound's walk finds
+	// the word it clears at a fixed offset from the rank.
+	cliques := arena[:p.ncliques*words]
+	arena = arena[len(cliques):]
+	for r, v := range order {
+		c := p.clique[v]
+		bitset(cliques[c*words : (c+1)*words]).set(r)
+	}
+	st.cmask = arena[:n*words]
+	arena = arena[len(st.cmask):]
+	for r, v := range order {
+		c := p.clique[v]
+		for wi := 0; wi < words; wi++ {
+			st.cmask[wi*n+r] = cliques[c*words+wi]
 		}
-		st.adj[v] = b
 	}
-	st.clique = greedyCliquePartition(in.G, ws)
-	for _, c := range st.clique {
-		if c+1 > st.ncliques {
-			st.ncliques = c + 1
-		}
+	st.best, st.left = take(), take()
+	full, cur, ids := take(), take(), take()
+	for r := 0; r < n; r++ {
+		full.set(r)
 	}
-	if ws != nil {
-		st.cliqueMax = growFloats(&ws.cliqueMax, st.ncliques)
-	} else {
-		st.cliqueMax = make([]float64, st.ncliques)
-	}
+	st.depthBufs = growDepth(&ws.depthBufs, n+1)
 	for i := range st.depthBufs {
 		st.depthBufs[i] = [2]bitset{take(), take()}
 	}
-	return st
+	exhausted := st.branch(full, 0, cur, 0)
+	st.best.forEach(func(r int) { ids.set(order[r]) })
+	out := ws.eout[:0]
+	ids.forEach(func(v int) { out = append(out, v) })
+	ws.eout = out
+	return out, exhausted
 }
 
 // greedyCliquePartition assigns each vertex to a clique: scan vertices in
@@ -363,21 +380,22 @@ func greedyCliquePartition(g *graph.Graph, ws *Workspace) []int {
 }
 
 // upperBound sums, per clique, the heaviest remaining vertex: an independent
-// set contains at most one vertex per clique. It reuses st.cliqueMax to stay
-// allocation-free on the hot path.
+// set contains at most one vertex per clique. In rank space that is a walk,
+// one step per non-empty clique: the lowest remaining rank is its clique's
+// heaviest remaining member, so add its weight and drop its whole clique.
 func (st *search) upperBound(remaining bitset) float64 {
-	for i := range st.cliqueMax {
-		st.cliqueMax[i] = 0
-	}
+	n := len(st.w)
+	left := st.left
+	copy(left, remaining)
 	total := 0.0
-	for wi, word := range remaining {
+	for wi := range left {
+		word := left[wi]
 		for word != 0 {
-			v := wi*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			c := st.clique[v]
-			if st.w[v] > st.cliqueMax[c] {
-				total += st.w[v] - st.cliqueMax[c]
-				st.cliqueMax[c] = st.w[v]
+			r := wi*64 + bits.TrailingZeros64(word)
+			total += st.w[r]
+			word &^= st.cmask[wi*n+r]
+			for j := wi + 1; j < len(left); j++ {
+				left[j] &^= st.cmask[j*n+r]
 			}
 		}
 	}
@@ -413,16 +431,19 @@ func (st *search) branch(remaining bitset, curW float64, cur bitset, depth int) 
 		st.bestW = curW
 		copy(st.best, cur)
 	}
-	if remaining.empty() {
+	// Branch on the heaviest remaining vertex, ties toward the lower id: the
+	// lowest remaining rank.
+	pivot := remaining.next(0)
+	if pivot < 0 {
 		return true
 	}
 	ub := st.upperBound(remaining)
 	// Prune comparison: curW + ub − bestW moves by at most 2× the L1 drift
 	// (cur and remaining are disjoint, contributing ≤ D1 together; best may
 	// overlap both and contributes ≤ D1 on its own), hence the halved margin.
-	// The comparisons inside upperBound itself need no recording: whichever
-	// vertex attains a clique's maximum, the maximum's value moves by at most
-	// the clique members' summed drift.
+	// The bound itself needs no recording: whichever vertex attains a
+	// clique's maximum, the maximum's value moves by at most the clique
+	// members' summed drift.
 	if st.track {
 		st.note((curW + ub - st.bestW) / 2)
 	}
@@ -434,36 +455,15 @@ func (st *search) branch(remaining bitset, curW float64, cur bitset, depth int) 
 		}
 		return true // pruned
 	}
-	// Branch on the heaviest remaining vertex (ties toward lower id). The
-	// scan's outcome is exactly the argmax with first-index tie-breaking, so
-	// the only margin the traversal depends on is max − runner-up: the pivot
-	// survives any drift below it (earlier vertices stay strictly below,
-	// later ones stay at-or-below), while comparisons among non-pivot
-	// vertices only shuffle scan-internal state. A singleton scan is
-	// weight-independent and records nothing; an exact tie for the maximum
-	// records a zero margin, voiding the certificate.
-	pivot, pw := -1, -1.0
+	// The pivot choice depends on one margin, max − runner-up (the next
+	// remaining rank): under any drift below it the pivot stays the strict
+	// maximum, however the other vertices reorder among themselves. A
+	// singleton records nothing; an exact tie for the maximum records a zero
+	// margin, voiding the certificate.
 	if st.track {
-		second := -1.0
-		remaining.forEach(func(v int) {
-			if st.w[v] > pw {
-				second = pw
-				pw = st.w[v]
-				pivot = v
-			} else if st.w[v] > second {
-				second = st.w[v]
-			}
-		})
-		if second >= 0 {
-			st.note(pw - second)
+		if second := remaining.next(pivot + 1); second >= 0 {
+			st.note(st.w[pivot] - st.w[second])
 		}
-	} else {
-		remaining.forEach(func(v int) {
-			if st.w[v] > pw {
-				pw = st.w[v]
-				pivot = v
-			}
-		})
 	}
 	// Include pivot: drop pivot and its neighbors from the remainder.
 	withPivot := st.depthBufs[depth][0]

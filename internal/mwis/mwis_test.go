@@ -71,6 +71,9 @@ func TestValidate(t *testing.T) {
 	if err := (Instance{G: g, W: []float64{1, -1}}).Validate(); err == nil {
 		t.Fatal("expected error for negative weight")
 	}
+	if err := (Instance{G: g, W: []float64{math.NaN(), 1}}).Validate(); err == nil {
+		t.Fatal("expected error for NaN weight")
+	}
 	if err := (Instance{G: g, W: []float64{1, 2}}).Validate(); err != nil {
 		t.Fatalf("valid instance rejected: %v", err)
 	}
@@ -127,13 +130,20 @@ func TestExactLeaderNotInMWIS(t *testing.T) {
 	}
 }
 
+// TestExactEmptyGraph also pins Solve's result shape: an empty optimum is
+// an empty slice, not nil, on an empty graph and under all-zero weights.
 func TestExactEmptyGraph(t *testing.T) {
-	set, err := (Exact{}).Solve(Instance{G: graph.New(0), W: nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set) != 0 {
-		t.Fatalf("set = %v", set)
+	for _, in := range []Instance{
+		{G: graph.New(0)},
+		{G: graph.New(3), W: []float64{0, 0, 0}},
+	} {
+		set, err := (Exact{}).Solve(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if set == nil || len(set) != 0 {
+			t.Fatalf("n=%d: set = %#v, want an empty non-nil slice", in.G.N(), set)
+		}
 	}
 }
 
@@ -458,15 +468,27 @@ func TestUpperBoundSound(t *testing.T) {
 	// The clique-partition bound must never be below the true optimum.
 	for seed := int64(0); seed < 20; seed++ {
 		in := randomInstance(12, 0.3, rng.New(seed))
-		st := newSearch(in, 0, nil)
+		var p Prepared
+		var ws Workspace
+		p.Prepare(in.G, &ws)
+		ws.exact(&p, in.W, 0, false)
 		full := newBitset(in.G.N())
 		for i := 0; i < in.G.N(); i++ {
 			full.set(i)
 		}
-		if ub := st.upperBound(full); ub < bruteForce(in)-1e-9 {
+		if ub := ws.st.upperBound(full); ub < bruteForce(in)-1e-9 {
 			t.Fatalf("seed %d: upper bound %v below optimum %v", seed, ub, bruteForce(in))
 		}
 	}
+}
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+// bitsOf lists b's set bits in ascending order.
+func bitsOf(b bitset) []int {
+	var out []int
+	b.forEach(func(i int) { out = append(out, i) })
+	return out
 }
 
 func TestBitsetOps(t *testing.T) {
@@ -474,35 +496,25 @@ func TestBitsetOps(t *testing.T) {
 	b.set(0)
 	b.set(64)
 	b.set(129)
-	if !b.has(0) || !b.has(64) || !b.has(129) || b.has(1) {
-		t.Fatal("set/has broken")
+	if got := bitsOf(b); !equalIntSlices(got, []int{0, 64, 129}) {
+		t.Fatalf("set/forEach = %v", got)
 	}
-	if b.count() != 3 {
-		t.Fatalf("count = %d", b.count())
+	for _, tc := range []struct{ from, want int }{
+		{0, 0}, {1, 64}, {63, 64}, {64, 64}, {65, 129}, {129, 129}, {130, -1},
+	} {
+		if got := b.next(tc.from); got != tc.want {
+			t.Fatalf("next(%d) = %d, want %d", tc.from, got, tc.want)
+		}
 	}
 	b.clear(64)
-	if b.has(64) || b.count() != 2 {
-		t.Fatal("clear broken")
+	if got := bitsOf(b); !equalIntSlices(got, []int{0, 129}) {
+		t.Fatalf("after clear: %v", got)
 	}
-	c := b.clone()
-	c.set(5)
-	if b.has(5) {
-		t.Fatal("clone shares storage")
+	if got := b.next(1); got != 129 {
+		t.Fatalf("next(1) across an empty word = %d, want 129", got)
 	}
-	var got []int
-	b.forEach(func(i int) { got = append(got, i) })
-	if len(got) != 2 || got[0] != 0 || got[1] != 129 {
-		t.Fatalf("forEach = %v", got)
-	}
-	mem := b.members()
-	if len(mem) != 2 || mem[0] != 0 || mem[1] != 129 {
-		t.Fatalf("members = %v", mem)
-	}
-	if b.empty() {
-		t.Fatal("non-empty bitset reported empty")
-	}
-	if !newBitset(10).empty() {
-		t.Fatal("fresh bitset not empty")
+	if got := newBitset(10).next(0); got != -1 {
+		t.Fatalf("next on a fresh bitset = %d, want -1", got)
 	}
 }
 
@@ -514,7 +526,7 @@ func TestBitsetAndNotInto(t *testing.T) {
 	mask.set(65)
 	dst := newBitset(70)
 	a.andNotInto(mask, dst)
-	if !dst.has(1) || dst.has(65) {
-		t.Fatalf("andNotInto wrong: %v", dst.members())
+	if got := bitsOf(dst); !equalIntSlices(got, []int{1}) {
+		t.Fatalf("andNotInto wrong: %v", got)
 	}
 }

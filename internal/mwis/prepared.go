@@ -1,7 +1,6 @@
 package mwis
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -16,7 +15,8 @@ import (
 // that repeatedly solves the same graph under drifting weights (the
 // protocol decider: a LocalLeader's candidate ball usually keeps its shape
 // between decisions while the index weights move) prepares once and pays
-// only the branch-and-bound per solve.
+// per solve only for relabelling them by weight and for the branch and
+// bound.
 //
 // A Prepared owns its storage — it stays valid even when the graph it was
 // prepared from lives in reused arena memory. Prepare reuses the previous
@@ -36,7 +36,7 @@ type Prepared struct {
 	// set holds at most one vertex per clique. A budget ≥ nodeBound
 	// therefore guarantees the search exhausts under ANY weight vector —
 	// the precondition for the uniqueness-gap slack certificate (see
-	// exactPrepared). Saturates at math.MaxInt on overflow.
+	// Hybrid.SolvePrepared). Saturates at math.MaxInt on overflow.
 	nodeBound int
 }
 
@@ -101,17 +101,15 @@ func (p *Prepared) Prepare(g *graph.Graph, ws *Workspace) {
 
 // SolvePrepared is Hybrid's workspace path over a prepared graph: a
 // budgeted exact search first (its clique-partition bound and adjacency
-// come straight from p), falling back to the greedy heuristic only when the
+// come from p), falling back to the greedy heuristic only when the
 // budget runs out — exactly Solve's output on the same graph and weights
 // (see TestSolvePreparedMatchesSolve). The returned slice aliases ws.
 func (h Hybrid) SolvePrepared(p *Prepared, w []float64, ws *Workspace) ([]int, error) {
 	if len(w) != p.n {
 		return nil, fmt.Errorf("mwis: %d weights for %d vertices", len(w), p.n)
 	}
-	for v, x := range w {
-		if x < 0 {
-			return nil, fmt.Errorf("mwis: negative weight %v at vertex %d", x, v)
-		}
+	if err := checkWeights(w); err != nil {
+		return nil, err
 	}
 	budget := h.Budget
 	if budget == 0 {
@@ -127,16 +125,36 @@ func (h Hybrid) SolvePrepared(p *Prepared, w []float64, ws *Workspace) ([]int, e
 	if p.n > maxExact {
 		return greedyPrepared(p, w, ws), nil
 	}
-	if p.n == 0 {
-		ws.Slack = math.Inf(1)
-		return ws.eout[:0], nil
-	}
-	exactSet, err := exactPrepared(p, w, budget, ws)
-	if err == nil {
+	exactSet, exhausted := ws.exact(p, w, budget, ws.TrackSlack)
+	if exhausted {
+		if ws.TrackSlack {
+			// Two independent replay certificates; the weaker conditions
+			// of either suffice, so the published slack is their maximum.
+			//
+			// Traversal slack (st.slack): drift below it flips no
+			// comparison, so the search replays the identical traversal —
+			// valid under any budget that let this search exhaust.
+			//
+			// Uniqueness gap (st.bestW − st.u): drift D1 strictly below the
+			// gap keeps the returned set the unique optimum, because for
+			// any other independent set T, w'(S0) − w'(T) ≥ (bestW − u) − D1
+			// > 0 (S0\T and T\S0 are disjoint, so their drifts jointly
+			// spend the single D1 allowance — no halving). A unique strict
+			// optimum is returned by ANY exhaustive run regardless of
+			// traversal order, so this certificate additionally needs
+			// exhaustion to be guaranteed a priori under the drifted
+			// weights: nodeBound ≤ budget (or an unlimited budget). Exact
+			// ties deposit bestW into u, collapsing the gap to zero, so
+			// bit-identity with the from-scratch solve is preserved.
+			st := &ws.st
+			ws.Slack = st.slack
+			if budget <= 0 || p.nodeBound <= budget {
+				if gap := st.bestW - st.u; gap > ws.Slack {
+					ws.Slack = gap
+				}
+			}
+		}
 		return exactSet, nil
-	}
-	if !errors.Is(err, ErrBudgetExceeded) {
-		return nil, err
 	}
 	greedySet := greedyPrepared(p, w, ws)
 	exactW, greedyW := 0.0, 0.0
@@ -152,90 +170,6 @@ func (h Hybrid) SolvePrepared(p *Prepared, w []float64, ws *Workspace) ([]int, e
 	return greedySet, nil
 }
 
-// exactPrepared runs the budgeted branch and bound with the prepared
-// adjacency and clique partition, mirroring Exact.SolveWorkspace minus the
-// structure construction.
-func exactPrepared(p *Prepared, w []float64, budget int, ws *Workspace) ([]int, error) {
-	n := p.n
-	st := &ws.st
-	*st = search{
-		n:        n,
-		adj:      p.adj,
-		w:        w,
-		clique:   p.clique,
-		ncliques: p.ncliques,
-		budget:   budget,
-	}
-	if budget <= 0 {
-		st.budget = -1
-	}
-	if ws.TrackSlack {
-		st.track = true
-		st.slack = math.Inf(1)
-	}
-	// Only the mutable bitsets (incumbent + two per depth) come from the
-	// workspace arena; the adjacency is the prepared instance's.
-	words := p.words
-	need := words * (2*n + 3)
-	if cap(ws.arena) < need {
-		ws.arena = make(bitset, need)
-	}
-	arena := ws.arena[:need]
-	for i := range arena {
-		arena[i] = 0
-	}
-	take := func() bitset {
-		b := arena[:words:words]
-		arena = arena[words:]
-		return b
-	}
-	st.best = take()
-	st.cliqueMax = growFloats(&ws.cliqueMax, st.ncliques)
-	st.depthBufs = growDepth(&ws.depthBufs, n+1)
-	for i := range st.depthBufs {
-		st.depthBufs[i] = [2]bitset{take(), take()}
-	}
-	full := growBitset(&ws.full, words)
-	cur := growBitset(&ws.cur, words)
-	for i := 0; i < n; i++ {
-		full.set(i)
-	}
-	exhausted := st.branch(full, 0, cur, 0)
-	out := ws.eout[:0]
-	st.best.forEach(func(i int) { out = append(out, i) })
-	ws.eout = out
-	if !exhausted {
-		return out, ErrBudgetExceeded
-	}
-	if st.track {
-		// Two independent replay certificates; the weaker conditions of
-		// either suffice, so the published slack is their maximum.
-		//
-		// Traversal slack (st.slack): drift below it flips no comparison,
-		// so the search replays the identical traversal — valid under any
-		// budget that let this search exhaust.
-		//
-		// Uniqueness gap (st.bestW − st.u): drift D1 strictly below the
-		// gap keeps the returned set the unique optimum, because for any
-		// other independent set T, w'(S0) − w'(T) ≥ (bestW − u) − D1 > 0
-		// (S0\T and T\S0 are disjoint, so their drifts jointly spend the
-		// single D1 allowance — no halving). A unique strict optimum is
-		// returned by ANY exhaustive run regardless of traversal order, so
-		// this certificate additionally needs exhaustion to be guaranteed
-		// a priori under the drifted weights: nodeBound ≤ budget (or an
-		// unlimited budget). Exact ties deposit bestW into u, collapsing
-		// the gap to zero, so bit-identity with the from-scratch solve is
-		// preserved.
-		ws.Slack = st.slack
-		if budget <= 0 || p.nodeBound <= budget {
-			if gap := st.bestW - st.u; gap > ws.Slack {
-				ws.Slack = gap
-			}
-		}
-	}
-	return out, nil
-}
-
 // greedyPrepared is Greedy.Solve over the prepared adjacency: identical
 // selection (max weight first, ties toward the lower id), with closed
 // neighborhoods removed via the adjacency bitsets.
@@ -245,8 +179,7 @@ func greedyPrepared(p *Prepared, w []float64, ws *Workspace) []int {
 	for i := range order {
 		order[i] = i
 	}
-	ws.wsort = weightSorter{order: order, w: w}
-	sort.Sort(&ws.wsort)
+	sortByWeight(order, w)
 	removed := growBools(&ws.removed, n)
 	out := ws.gout[:0]
 	for _, v := range order {

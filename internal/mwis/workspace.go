@@ -3,6 +3,7 @@ package mwis
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"multihopbandit/internal/graph"
@@ -28,7 +29,7 @@ type Workspace struct {
 	//   - Traversal slack: the minimum margin, pre-scaled per comparison
 	//     kind, over the weight-dependent comparisons the search executed
 	//     (incumbent updates, clique-bound prunes at half weight, pivot
-	//     scans). Drift below it flips none of them, so the search on w'
+	//     choices). Drift below it flips none of them, so the search on w'
 	//     runs the identical traversal — same incumbents, same prunes,
 	//     same budget consumption — and returns the identical set.
 	//
@@ -56,15 +57,16 @@ type Workspace struct {
 	// greedy state
 	order   []int
 	removed []bool
-	wsort   weightSorter
 	gout    []int
-	// exact branch-and-bound state
+	// exact branch-and-bound state; the rank order lives in order, which
+	// the search leaves free
 	st        search
+	pre       Prepared  // Exact.SolveWorkspace's preparation
+	rank      []int     // vertex id → rank
+	rw        []float64 // weight per rank
 	arena     bitset
 	adj       []bitset
 	depthBufs [][2]bitset
-	cliqueMax []float64
-	full, cur bitset
 	eout      []int
 	// clique-partition state (shared by greedy bound construction)
 	clique  []int
@@ -136,23 +138,19 @@ func growBools(s *[]bool, n int) []bool {
 	return *s
 }
 
-// weightSorter orders vertex ids by decreasing weight, ties toward the lower
-// id — Greedy.Solve's comparator as a sort.Interface, so the workspace path
-// sorts without the sort.Slice closure allocations. The comparator is a
-// total order, so sort.Sort and sort.Slice produce the same permutation.
-type weightSorter struct {
-	order []int
-	w     []float64
-}
-
-func (s *weightSorter) Len() int      { return len(s.order) }
-func (s *weightSorter) Swap(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] }
-func (s *weightSorter) Less(i, j int) bool {
-	wa, wb := s.w[s.order[i]], s.w[s.order[j]]
-	if wa != wb {
-		return wa > wb
-	}
-	return s.order[i] < s.order[j]
+// sortByWeight orders vertex ids by decreasing weight, ties toward the
+// lower id: Greedy.Solve's comparator, which is a total order on ids with
+// non-NaN weights, so every sorting algorithm yields the same permutation.
+func sortByWeight(order []int, w []float64) {
+	slices.SortFunc(order, func(a, b int) int {
+		switch {
+		case w[a] > w[b]:
+			return -1
+		case w[a] < w[b]:
+			return 1
+		}
+		return a - b
+	})
 }
 
 // degSorter orders vertex ids by decreasing degree, ties toward the lower
@@ -183,8 +181,7 @@ func (g Greedy) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 	for i := range order {
 		order[i] = i
 	}
-	ws.wsort = weightSorter{order: order, w: in.W}
-	sort.Sort(&ws.wsort)
+	sortByWeight(order, in.W)
 	removed := growBools(&ws.removed, n)
 	out := ws.gout[:0]
 	for _, v := range order {
@@ -203,9 +200,7 @@ func (g Greedy) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 }
 
 // SolveWorkspace implements WorkspaceSolver: Exact.Solve reusing the
-// workspace's arena and buffers. Search order, pruning and budget accounting
-// are shared with Solve, so the incumbent and the budget outcome match it
-// exactly.
+// workspace's buffers, including the graph preparation.
 func (e Exact) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -214,24 +209,11 @@ func (e Exact) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 	if maxNodes == 0 {
 		maxNodes = 4096
 	}
-	n := in.G.N()
-	if n > maxNodes {
+	if n := in.G.N(); n > maxNodes {
 		return nil, fmt.Errorf("mwis: instance with %d vertices exceeds MaxNodes=%d", n, maxNodes)
 	}
-	if n == 0 {
-		return ws.eout[:0], nil
-	}
-	st := newSearch(in, e.Budget, ws)
-	words := (n + 63) / 64
-	full := growBitset(&ws.full, words)
-	cur := growBitset(&ws.cur, words)
-	for i := 0; i < n; i++ {
-		full.set(i)
-	}
-	exhausted := st.branch(full, 0, cur, 0)
-	out := ws.eout[:0]
-	st.best.forEach(func(i int) { out = append(out, i) })
-	ws.eout = out
+	ws.pre.Prepare(in.G, ws)
+	out, exhausted := ws.exact(&ws.pre, in.W, e.Budget, false)
 	if !exhausted {
 		return out, ErrBudgetExceeded
 	}
@@ -276,18 +258,4 @@ func (h Hybrid) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 		return exactSet, nil
 	}
 	return greedySet, nil
-}
-
-// growBitset resizes *b to the given word count, reusing capacity. Contents
-// are zeroed.
-func growBitset(b *bitset, words int) bitset {
-	if cap(*b) < words {
-		*b = make(bitset, words)
-		return (*b)[:words]
-	}
-	*b = (*b)[:words]
-	for i := range *b {
-		(*b)[i] = 0
-	}
-	return *b
 }

@@ -2,6 +2,7 @@ package mwis
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"multihopbandit/internal/rng"
@@ -142,6 +143,12 @@ func TestSolvePreparedValidation(t *testing.T) {
 	bad[2] = -1
 	if _, err := (Hybrid{}).SolvePrepared(&pre, bad, &ws); err == nil {
 		t.Fatal("negative weight accepted")
+	}
+	for i := range bad {
+		bad[i] = math.NaN()
+	}
+	if _, err := (Hybrid{}).SolvePrepared(&pre, bad, &ws); err == nil {
+		t.Fatal("NaN weights accepted")
 	}
 	empty := randomInstance(0, 0, rng.New(12))
 	pre.Prepare(empty.G, &ws)

@@ -15,9 +15,9 @@ import (
 )
 
 // ObservationBatch is one round of external observations: the played
-// virtual-vertex ids and their realized rewards (normalized units). Each
-// batch advances the instance by one slot, exactly like one transmission
-// round of Algorithm 2.
+// virtual-vertex ids and their realized rewards (normalized units, finite
+// and non-negative). Each batch advances the instance by one slot, exactly
+// like one transmission round of Algorithm 2.
 type ObservationBatch struct {
 	Played  []int     `json:"played"`
 	Rewards []float64 `json:"rewards"`
@@ -557,6 +557,13 @@ func (a *actor) observe(batches []ObservationBatch) (*ObserveResult, error) {
 		for _, v := range b.Played {
 			if v < 0 || v >= k {
 				return nil, fmt.Errorf("serve: batch %d: arm %d out of range [0,%d)", bi, v, k)
+			}
+		}
+		// A negative or NaN reward would poison the arm's index and fail
+		// every later decision; +Inf would pin the arm's index for good.
+		for i, x := range b.Rewards {
+			if x < 0 || math.IsNaN(x) || math.IsInf(x, 1) {
+				return nil, fmt.Errorf("serve: batch %d: reward %v for arm %d is not a finite non-negative number", bi, x, b.Played[i])
 			}
 		}
 	}

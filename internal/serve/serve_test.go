@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -285,6 +286,24 @@ func TestObserveValidation(t *testing.T) {
 	}
 	if _, err := h.Step(0); err == nil {
 		t.Fatal("zero-slot step should fail")
+	}
+	// A bad reward is rejected before anything is applied, so the
+	// instance keeps deciding.
+	for i, x := range []float64{-100, math.NaN(), math.Inf(1)} {
+		_, err := h.Observe([]ObservationBatch{
+			{Played: []int{0}, Rewards: []float64{0.5}},
+			{Played: []int{0}, Rewards: []float64{x}},
+		})
+		if err == nil {
+			t.Fatalf("reward %v should fail", x)
+		}
+		res, err := h.Step(1)
+		if err != nil {
+			t.Fatalf("step after rejected reward %v: %v", x, err)
+		}
+		if res.Slot != i+1 {
+			t.Fatalf("slot %d after rejected reward %v, want %d", res.Slot, x, i+1)
+		}
 	}
 }
 

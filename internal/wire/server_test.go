@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -137,6 +138,17 @@ func TestWireWorkflow(t *testing.T) {
 			}
 			if _, err := c.Step("a", -4); serve.ErrorCode(err) != serve.CodeInvalidRequest {
 				t.Fatalf("bad step: %v (code %q)", err, serve.ErrorCode(err))
+			}
+			// Frames carry raw float64s, so NaN and ±Inf arrive intact; a
+			// rejected reward leaves the instance deciding.
+			for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -100} {
+				bad := []serve.ObservationBatch{{Played: as.Winners[:1], Rewards: []float64{x}}}
+				if _, err := c.Observe("a", bad); serve.ErrorCode(err) != serve.CodeInvalidRequest {
+					t.Fatalf("observe reward %v: %v (code %q)", x, err, serve.ErrorCode(err))
+				}
+				if _, err := c.Step("a", 1); err != nil {
+					t.Fatalf("step after rejected reward %v: %v", x, err)
+				}
 			}
 
 			if err := c.Delete("a"); err != nil {
