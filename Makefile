@@ -12,7 +12,7 @@ BANDITD_BINARY_ADDR ?= 127.0.0.1:8660
 # Fig. 7 replication) through the shared slot kernel.
 GOLDEN_ARGS = -exp all -seed 1 -slots 300 -periods 40 -reps 3
 
-.PHONY: all build fmt-check vet test race stackbench-test bench bench-smoke bench-serve bench-sim bench-decide bench-wal bench-obs bench-cluster serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke verify-golden update-golden figures ci
+.PHONY: all build fmt-check vet test race stackbench-test bench bench-smoke bench-serve bench-sim bench-wal bench-obs bench-cluster serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke verify-golden update-golden figures ci
 
 # Committed ScenarioSpec files driven by spec-smoke: one per channel kind
 # (gaussian, gilbert-elliott, shifting) plus the primary-user wrapper.
@@ -96,20 +96,6 @@ spec-smoke:
 bench-sim:
 	$(GO) run ./cmd/simbench -json BENCH_sim.json
 
-# Decision-plane benchmark: the exact bench-serve workload (64 instances,
-# update period 1) recorded into BENCH_decide.json with the decision-plane
-# counters (full decides, epoch skips, memo hit rate) scraped from the
-# server. Compare decisions_per_sec against BENCH_serve.json to see what
-# the incremental decider buys on the serving hot path.
-bench-decide:
-	$(GO) build -o bin/banditd ./cmd/banditd
-	$(GO) build -o bin/banditload ./cmd/banditload
-	@set -e; bin/banditd -addr $(BANDITD_ADDR) -debug-addr $(BANDITD_DEBUG_ADDR) & pid=$$!; \
-	bin/banditload -addr http://$(BANDITD_ADDR) -duration 5s \
-		-json BENCH_decide.json -min-throughput 1 \
-		|| { kill -TERM $$pid 2>/dev/null; exit 1; }; \
-	kill -TERM $$pid; wait $$pid
-
 # CI smoke for the decision plane, two legs against one race-built pair.
 # Leg 1: oracle-policy instances at update period 4 — the oracle's weight
 # vector never moves, so boundaries settle into weight-epoch skips; the run
@@ -118,8 +104,8 @@ bench-decide:
 # impossible and only the per-leader sensitivity certificate (drift within
 # the solver's replay slack) can avoid re-solves; the run fails unless
 # sensitivity skips were recorded. Both fail unless throughput is nonzero
-# and shutdown is clean. Pair with verify-golden in the same CI run: the
-# skip paths must never move the figure pipeline's bytes.
+# and shutdown is clean. That the skip paths never move the figure
+# pipeline's bytes is the verify-golden job's check, once per CI run.
 decide-smoke:
 	$(GO) build -race -o bin/banditd.race ./cmd/banditd
 	$(GO) build -race -o bin/banditload.race ./cmd/banditload

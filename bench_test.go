@@ -175,22 +175,26 @@ func benchDecisionSetup(b *testing.B, n, m, r, d int) (*protocol.Runtime, []floa
 }
 
 // BenchmarkDistributedDecision measures one full strategy decision
-// (Algorithm 3 with D=4) on the Fig. 8 network scale.
+// (Algorithm 3 with D=4) on the Fig. 8 network scale. Every iteration
+// decides through a fresh Decider, the one-shot cost Fig. 6 pays: a decider
+// held across iterations would serve every call after the first from its
+// weight-epoch cache.
 func BenchmarkDistributedDecision(b *testing.B) {
 	rt, w := benchDecisionSetup(b, 100, 10, 2, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rt.Decide(w, nil); err != nil {
+		if _, err := rt.NewDecider().Decide(w, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkMessageCounting verifies the accounting overhead is negligible
-// and reports the per-decision max per-vertex message count.
+// and reports the per-decision max per-vertex message count. Like
+// BenchmarkDistributedDecision it times one-shot deciders.
 func BenchmarkMessageCounting(b *testing.B) {
 	rt, w := benchDecisionSetup(b, 100, 5, 2, 4)
-	res, err := rt.Decide(w, nil)
+	res, err := rt.NewDecider().Decide(w, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -198,7 +202,7 @@ func BenchmarkMessageCounting(b *testing.B) {
 	b.ResetTimer()
 	var maxMsg int
 	for i := 0; i < b.N; i++ {
-		r2, err := rt.Decide(w, prev)
+		r2, err := rt.NewDecider().Decide(w, prev)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,7 +303,7 @@ func BenchmarkAblationR(b *testing.B) {
 			var weight float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := rt.Decide(w, nil)
+				res, err := rt.NewDecider().Decide(w, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -319,7 +323,7 @@ func BenchmarkAblationD(b *testing.B) {
 			var weight float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := rt.Decide(w, nil)
+				res, err := rt.NewDecider().Decide(w, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -356,7 +360,7 @@ func BenchmarkAblationSolver(b *testing.B) {
 			var weight float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := rt.Decide(w, nil)
+				res, err := rt.NewDecider().Decide(w, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -125,15 +125,18 @@
 // Every layer is exact — equal inputs are served equal outputs, and the
 // sensitivity bound is a certificate, not a heuristic — so trajectories
 // are bit-identical to deciding from scratch at every boundary; the
-// randomized drifting-weight equivalence suite in internal/protocol and
-// the figgen golden digest both enforce it. DecisionPlaneStats (per Scheme
-// via DecideStats, per shard on banditd's /metrics) reports full decides,
-// epoch skips, the per-leader skip taxonomy (leader skips, sensitivity
-// skips, re-solves) and the communication totals; `make bench-decide`
-// records the serving-workload effect in BENCH_decide.json and the CI
-// decide-smoke job asserts the epoch short-circuit fires under a
-// constant-weight policy and the sensitivity certificate fires under a
-// drifting UCB policy while verify-golden holds in the same run.
+// differential suites in internal/protocol (randomized, Fig. 6-scale and
+// fuzzed trajectories against a from-scratch oracle kept in the tests) and
+// the figgen golden digest enforce it. The Decider is the only decide
+// path: Fig. 6, the ablations and queueing run the code banditd serves.
+// DecisionPlaneStats (per Scheme via DecideStats, per shard on banditd's
+// /metrics) reports full decides, epoch skips, the per-leader skip
+// taxonomy (leader skips, sensitivity skips, re-solves) and the
+// communication totals; `make bench-serve` records them for the serving
+// workload in BENCH_serve.json's decide section. The CI decide-smoke job
+// asserts the epoch short-circuit fires under a constant-weight policy and
+// the sensitivity certificate fires under a drifting UCB policy, and the
+// verify-golden job checks the figure pipeline's bytes.
 //
 // # Distributed execution
 //

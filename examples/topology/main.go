@@ -42,7 +42,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	linRes, err := linRT.Decide(weights, nil)
+	linRes, err := linRT.NewDecider().Decide(weights, nil)
 	if err != nil {
 		return err
 	}
@@ -68,7 +68,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rndRes, err := rndRT.Decide(rndWeights, nil)
+	rndRes, err := rndRT.NewDecider().Decide(rndWeights, nil)
 	if err != nil {
 		return err
 	}
@@ -82,7 +82,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cappedRes, err := capped.Decide(weights, nil)
+	cappedRes, err := capped.NewDecider().Decide(weights, nil)
 	if err != nil {
 		return err
 	}

@@ -122,11 +122,12 @@ func (in *Instance) Optimal() (float64, error) {
 // Runtime returns a protocol runtime (default MWIS solver) over the
 // instance's extended graph for ball parameter r and mini-round cap d,
 // memoized per (r, d). The runtime's hop-neighborhood precomputation is the
-// dominant per-instance setup cost after the optimum, and a Runtime is safe
-// for concurrent Decide calls (Decide only reads the precomputed balls), so
-// one build serves every consumer of the instance — this is what lets the
-// serving runtime host many replicas of one network for the price of one
-// BFS sweep. Concurrent first calls serialize on the instance; exactly one
+// dominant per-instance setup cost after the optimum, and a Runtime is
+// immutable once built (each consumer decides through its own
+// protocol.Decider, which only reads the precomputed balls), so one build
+// serves every consumer of the instance — this is what lets the serving
+// runtime host many replicas of one network for the price of one BFS
+// sweep. Concurrent first calls serialize on the instance; exactly one
 // builds.
 func (in *Instance) Runtime(r, d int) (*protocol.Runtime, error) {
 	if in.Ext == nil {

@@ -237,7 +237,7 @@ func TestInstanceRuntimeMemoized(t *testing.T) {
 	for k := range weights {
 		weights[k] = in.Means[k]
 	}
-	dec, err := a.Decide(weights, nil)
+	dec, err := a.NewDecider().Decide(weights, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

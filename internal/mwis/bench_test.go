@@ -26,9 +26,10 @@ func BenchmarkSolvePrepared(b *testing.B) {
 		b.Fatal(err)
 	}
 	balls := make([]Prepared, ext.K())
+	var prep Workspace
 	for v := range balls {
 		sub, _ := ext.H.InducedSubgraph(ext.H.Ball(v, 2))
-		balls[v].Prepare(sub, nil)
+		balls[v].Prepare(sub, &prep)
 	}
 	src := rng.New(2)
 	uniform := make([][]float64, len(balls))

@@ -22,7 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
 	"multihopbandit/internal/graph"
@@ -94,38 +94,9 @@ var _ Solver = Greedy{}
 // Name implements Solver.
 func (Greedy) Name() string { return "greedy" }
 
-// Solve implements Solver.
-func (Greedy) Solve(in Instance) ([]int, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	n := in.G.N()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		wa, wb := in.W[order[a]], in.W[order[b]]
-		if wa != wb {
-			return wa > wb
-		}
-		return order[a] < order[b]
-	})
-	removed := make([]bool, n)
-	var out []int
-	for _, v := range order {
-		if removed[v] {
-			continue
-		}
-		out = append(out, v)
-		removed[v] = true
-		for _, u := range in.G.Neighbors(v) {
-			removed[u] = true
-		}
-	}
-	sort.Ints(out)
-	return out, nil
-}
+// Solve implements Solver: SolveWorkspace on a pooled workspace, with the
+// set copied out.
+func (g Greedy) Solve(in Instance) ([]int, error) { return solvePooled(in, g.SolveWorkspace) }
 
 // ---------------------------------------------------------------------------
 // Exact branch and bound
@@ -156,25 +127,29 @@ var _ Solver = Exact{}
 // Name implements Solver.
 func (Exact) Name() string { return "exact" }
 
-// Solve implements Solver. On ErrBudgetExceeded the returned set is still a
-// valid independent set (the incumbent), so callers may treat the error as a
-// quality downgrade rather than a failure. An empty optimum is an empty,
-// non-nil slice.
-func (e Exact) Solve(in Instance) ([]int, error) {
+// Solve implements Solver: SolveWorkspace on a pooled workspace, with the
+// set copied out. On ErrBudgetExceeded the returned set is still a valid
+// independent set (the incumbent), so callers may treat the error as a
+// quality downgrade rather than a failure.
+func (e Exact) Solve(in Instance) ([]int, error) { return solvePooled(in, e.SolveWorkspace) }
+
+// workspaces lends the Solve entry points a warm Workspace. A fresh one per
+// call allocates every buffer of the search, which on the small balls of
+// the distributed executions costs more than the search itself.
+var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
+
+// solvePooled runs a solver's workspace body on a pooled Workspace and
+// copies the set out, so no caller sees the workspace. The set is non-nil,
+// also when empty; it accompanies a nil or ErrBudgetExceeded error.
+func solvePooled(in Instance, solve func(Instance, *Workspace) ([]int, error)) ([]int, error) {
 	ws := workspaces.Get().(*Workspace)
 	defer workspaces.Put(ws)
-	set, err := e.SolveWorkspace(in, ws)
+	set, err := solve(in, ws)
 	if err != nil && !errors.Is(err, ErrBudgetExceeded) {
 		return nil, err
 	}
 	return append([]int{}, set...), err
 }
-
-// workspaces lends Exact.Solve a warm Workspace. A fresh one per call
-// allocates every buffer of the search, which on the small balls of the
-// distributed executions costs more than the search itself; the result is
-// copied out, so no caller sees the workspace.
-var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
 
 // search is the branch-and-bound state of one exact solve. It works in rank
 // space: rank r is the r-th vertex by descending weight, ties toward the
@@ -314,40 +289,24 @@ func (ws *Workspace) exact(p *Prepared, w []float64, budget int, track bool) ([]
 }
 
 // greedyCliquePartition assigns each vertex to a clique: scan vertices in
-// decreasing-degree order; each unassigned vertex starts a clique and pulls
-// in unassigned neighbors adjacent to every current member. A non-nil
-// workspace supplies the order/partition/member buffers; the partition is
-// identical either way (the comparator is a total order, so the sort result
-// does not depend on the sorting algorithm's stability).
+// decreasing-degree order (ties toward the lower id); each unassigned vertex
+// starts a clique and pulls in unassigned neighbors adjacent to every
+// current member. The order, partition and member buffers come from ws.
 func greedyCliquePartition(g *graph.Graph, ws *Workspace) []int {
 	n := g.N()
-	var clique, order, members []int
-	if ws != nil {
-		clique = growInts(&ws.clique, n)
-		order = growInts(&ws.order, n)
-		members = ws.members[:0]
-	} else {
-		clique = make([]int, n)
-		order = make([]int, n)
-	}
+	clique := growInts(&ws.clique, n)
+	order := growInts(&ws.order, n)
 	for i := range clique {
 		clique[i] = -1
-	}
-	for i := range order {
 		order[i] = i
 	}
-	if ws != nil {
-		ws.degSort = degSorter{g: g, order: order}
-		sort.Sort(&ws.degSort)
-	} else {
-		sort.Slice(order, func(a, b int) bool {
-			da, db := g.Degree(order[a]), g.Degree(order[b])
-			if da != db {
-				return da > db
-			}
-			return order[a] < order[b]
-		})
-	}
+	slices.SortFunc(order, func(a, b int) int {
+		if da, db := g.Degree(a), g.Degree(b); da != db {
+			return db - da
+		}
+		return a - b
+	})
+	members := ws.members[:0]
 	next := 0
 	for _, v := range order {
 		if clique[v] >= 0 {
@@ -373,9 +332,7 @@ func greedyCliquePartition(g *graph.Graph, ws *Workspace) []int {
 		}
 		next++
 	}
-	if ws != nil {
-		ws.members = members[:0]
-	}
+	ws.members = members[:0]
 	return clique
 }
 
@@ -499,32 +456,19 @@ var _ Solver = Hybrid{}
 // Name implements Solver.
 func (Hybrid) Name() string { return "hybrid" }
 
-// Solve implements Solver.
-func (h Hybrid) Solve(in Instance) ([]int, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	budget := h.Budget
+// Solve implements Solver: SolveWorkspace on a pooled workspace, with the
+// set copied out.
+func (h Hybrid) Solve(in Instance) ([]int, error) { return solvePooled(in, h.SolveWorkspace) }
+
+// limits returns the node budget and the exact-search size cap, defaults
+// applied.
+func (h Hybrid) limits() (budget, maxExact int) {
+	budget, maxExact = h.Budget, h.MaxExactNodes
 	if budget == 0 {
 		budget = 50000
 	}
-	maxExact := h.MaxExactNodes
 	if maxExact == 0 {
 		maxExact = 512
 	}
-	greedySet, err := (Greedy{}).Solve(in)
-	if err != nil {
-		return nil, err
-	}
-	if in.G.N() > maxExact {
-		return greedySet, nil
-	}
-	exactSet, err := Exact{MaxNodes: maxExact, Budget: budget}.Solve(in)
-	if err != nil && !errors.Is(err, ErrBudgetExceeded) {
-		return nil, err
-	}
-	if in.Weight(exactSet) >= in.Weight(greedySet) {
-		return exactSet, nil
-	}
-	return greedySet, nil
+	return budget, maxExact
 }

@@ -439,7 +439,7 @@ func TestSolverNames(t *testing.T) {
 func TestCliquePartitionValid(t *testing.T) {
 	f := func(seed int64) bool {
 		in := randomInstance(20, 0.3, rng.New(seed))
-		clique := greedyCliquePartition(in.G, nil)
+		clique := greedyCliquePartition(in.G, new(Workspace))
 		// Group members and check pairwise adjacency within each clique.
 		groups := map[int][]int{}
 		for v, c := range clique {

@@ -43,7 +43,7 @@ type Prepared struct {
 // N returns the prepared graph's vertex count.
 func (p *Prepared) N() int { return p.n }
 
-// Prepare fills p from g, replacing any previous preparation. A non-nil
+// Prepare fills p from g, replacing any previous preparation. The
 // workspace supplies the clique-partition scratch.
 func (p *Prepared) Prepare(g *graph.Graph, ws *Workspace) {
 	n := g.N()
@@ -72,12 +72,7 @@ func (p *Prepared) Prepare(g *graph.Graph, ws *Workspace) {
 			p.ncliques = c + 1
 		}
 	}
-	var sizes []int
-	if ws != nil {
-		sizes = growInts(&ws.order, p.ncliques)
-	} else {
-		sizes = make([]int, p.ncliques)
-	}
+	sizes := growInts(&ws.order, p.ncliques)
 	for i := range sizes {
 		sizes[i] = 0
 	}
@@ -99,11 +94,15 @@ func (p *Prepared) Prepare(g *graph.Graph, ws *Workspace) {
 	}
 }
 
-// SolvePrepared is Hybrid's workspace path over a prepared graph: a
-// budgeted exact search first (its clique-partition bound and adjacency
-// come from p), falling back to the greedy heuristic only when the
-// budget runs out — exactly Solve's output on the same graph and weights
-// (see TestSolvePreparedMatchesSolve). The returned slice aliases ws.
+// SolvePrepared is Hybrid's body over a prepared graph: a budgeted exact
+// search first (its clique-partition bound and adjacency come from p),
+// falling back to the greedy heuristic only when the budget runs out. It
+// returns the allocating Hybrid body's output on the same graph and weights
+// (TestSolvePreparedMatchesSolve), except where the greedy set ties the
+// exhaustive search's to within rounding: that body compared float sums
+// and could pick the greedy set, this one keeps the search's
+// (TestHybridKeepsExhaustiveSetOnRoundingTie). The returned slice aliases
+// ws.
 func (h Hybrid) SolvePrepared(p *Prepared, w []float64, ws *Workspace) ([]int, error) {
 	if len(w) != p.n {
 		return nil, fmt.Errorf("mwis: %d weights for %d vertices", len(w), p.n)
@@ -111,14 +110,7 @@ func (h Hybrid) SolvePrepared(p *Prepared, w []float64, ws *Workspace) ([]int, e
 	if err := checkWeights(w); err != nil {
 		return nil, err
 	}
-	budget := h.Budget
-	if budget == 0 {
-		budget = 50000
-	}
-	maxExact := h.MaxExactNodes
-	if maxExact == 0 {
-		maxExact = 512
-	}
+	budget, maxExact := h.limits()
 	// Pessimistic default: every path that does not complete the exact
 	// search leaves the slack certificate void (see Workspace.TrackSlack).
 	ws.Slack = 0
@@ -153,6 +145,14 @@ func (h Hybrid) SolvePrepared(p *Prepared, w []float64, ws *Workspace) ([]int, e
 					ws.Slack = gap
 				}
 			}
+			// Both arguments hold in exact arithmetic, but every margin
+			// above is a difference of floating-point sums of up to 2n
+			// weights, and so is the caller's drift; each is off by at
+			// most about n·ε·Σw. A drift that closes a margin exactly can
+			// then still read as strictly below it (two sets a few ulps
+			// apart that the drift makes tie). Deflating the slack by a
+			// bound on those errors keeps the certificate sound.
+			ws.Slack = math.Max(0, ws.Slack-roundingError(w))
 		}
 		return exactSet, nil
 	}
@@ -170,7 +170,18 @@ func (h Hybrid) SolvePrepared(p *Prepared, w []float64, ws *Workspace) ([]int, e
 	return greedySet, nil
 }
 
-// greedyPrepared is Greedy.Solve over the prepared adjacency: identical
+// roundingError bounds, with a wide margin, the rounding error of any sum
+// of up to 2·len(w) of the weights, of a difference of two such sums, and
+// of an L1 drift of comparable size: 16·(n+1)·ε·Σw.
+func roundingError(w []float64) float64 {
+	total := 0.0
+	for _, x := range w {
+		total += x
+	}
+	return 16 * float64(len(w)+1) * 0x1p-52 * total
+}
+
+// greedyPrepared is Greedy's body over the prepared adjacency: identical
 // selection (max weight first, ties toward the lower id), with closed
 // neighborhoods removed via the adjacency bitsets.
 func greedyPrepared(p *Prepared, w []float64, ws *Workspace) []int {

@@ -1,23 +1,100 @@
 package mwis
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"multihopbandit/internal/graph"
 	"multihopbandit/internal/rng"
 )
 
-// This file keeps the id-space branch and bound that the rank-space search
-// replaced, as the oracle TestRankSearchMatchesReference compares against.
-// refSearch, note, upperBound and branch are that code verbatim, except for
-// the renamed type, the added sumByRank and maxima fields, and branch
-// calling bound where it called upperBound. With sumByRank unset, bound is
-// upperBound.
+// This file keeps the code that the package's production bodies replaced,
+// as the oracles their tests compare against:
+//
+//   - the allocating Greedy and Hybrid bodies, for the workspace and
+//     prepared paths (TestSolveWorkspaceMatchesSolve,
+//     TestSolvePreparedMatchesSolve);
+//   - the id-space branch and bound, for the rank-space search
+//     (TestRankSearchMatchesReference).
+//
+// referenceGreedySolve and referenceHybridSolve are the Greedy.Solve and
+// Hybrid.Solve bodies verbatim, except for their names and the Hybrid body
+// calling referenceGreedySolve where it called Greedy.Solve. Where the
+// greedy set ties the exhaustive search's to within rounding,
+// referenceHybridSolve can return the greedy set and Hybrid the search's
+// (TestHybridKeepsExhaustiveSetOnRoundingTie).
+
+func referenceGreedySolve(in Instance) ([]int, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	n := in.G.N()
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		wa, wb := in.W[order[a]], in.W[order[b]]
+		if wa != wb {
+			return wa > wb
+		}
+		return order[a] < order[b]
+	})
+	removed := make([]bool, n)
+	var out []int
+	for _, v := range order {
+		if removed[v] {
+			continue
+		}
+		out = append(out, v)
+		removed[v] = true
+		for _, u := range in.G.Neighbors(v) {
+			removed[u] = true
+		}
+	}
+	sort.Ints(out)
+	return out, nil
+}
+
+func referenceHybridSolve(h Hybrid, in Instance) ([]int, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	budget := h.Budget
+	if budget == 0 {
+		budget = 50000
+	}
+	maxExact := h.MaxExactNodes
+	if maxExact == 0 {
+		maxExact = 512
+	}
+	greedySet, err := referenceGreedySolve(in)
+	if err != nil {
+		return nil, err
+	}
+	if in.G.N() > maxExact {
+		return greedySet, nil
+	}
+	exactSet, err := Exact{MaxNodes: maxExact, Budget: budget}.Solve(in)
+	if err != nil && !errors.Is(err, ErrBudgetExceeded) {
+		return nil, err
+	}
+	if in.Weight(exactSet) >= in.Weight(greedySet) {
+		return exactSet, nil
+	}
+	return greedySet, nil
+}
+
+// The id-space branch and bound follows. refSearch, note, upperBound and
+// branch are that code verbatim, except for the renamed type, the added
+// sumByRank and maxima fields, and branch calling bound where it called
+// upperBound. With sumByRank unset, bound is upperBound.
 
 type refSearch struct {
 	n        int

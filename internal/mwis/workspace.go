@@ -1,23 +1,22 @@
 package mwis
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
-
-	"multihopbandit/internal/graph"
 )
 
 // Workspace carries every buffer the solvers need, so hot loops that solve
 // many small instances (the protocol decider: one local MWIS per LocalLeader
 // per mini-round) can run allocation-free once the buffers are warm. A
 // Workspace is not safe for concurrent use; the slices returned by
-// SolveWorkspace alias it and are valid only until its next use.
+// SolveWorkspace and SolvePrepared alias it and are valid only until its
+// next use.
 //
-// The workspace path is part of the repository's bit-identity contract: for
-// every solver, SolveWorkspace(in, ws) returns exactly the set Solve(in)
-// returns (see TestSolveWorkspaceMatchesSolve).
+// Each solver has one body, its SolveWorkspace (Hybrid's runs through
+// Prepare and SolvePrepared); Solve runs it on a pooled Workspace. The
+// tests keep the allocating Greedy and Hybrid bodies these replaced as
+// oracles (TestSolveWorkspaceMatchesSolve, TestSolvePreparedMatchesSolve).
 type Workspace struct {
 	// TrackSlack requests the replay-slack certificate from the next
 	// Hybrid.SolvePrepared call; Slack is its result. When the budgeted
@@ -42,7 +41,12 @@ type Workspace struct {
 	//     traversal order. This certificate ignores pivot near-ties and
 	//     prune near-misses entirely — those flips reshape the traversal
 	//     but not the answer — which is what lets drifting-but-stable
-	//     leaders skip resolves at a useful rate (see BENCH_decide.json).
+	//     leaders skip resolves at a useful rate (see BENCH_serve.json).
+	//
+	// Both margins are computed from floating-point sums, so S is their
+	// maximum less a bound on the rounding error (16·(n+1)·ε·Σw, clamped
+	// at 0): without it, a drift that turns two sets a few ulps apart
+	// into a tie can read as strictly below the margin it closes.
 	//
 	// A tie voids both sides (traversal slack collapses on any tied
 	// comparison; an exact co-optimum collapses the gap), so certified
@@ -61,7 +65,7 @@ type Workspace struct {
 	// exact branch-and-bound state; the rank order lives in order, which
 	// the search leaves free
 	st        search
-	pre       Prepared  // Exact.SolveWorkspace's preparation
+	pre       Prepared  // the SolveWorkspace paths' preparation
 	rank      []int     // vertex id → rank
 	rw        []float64 // weight per rank
 	arena     bitset
@@ -71,23 +75,7 @@ type Workspace struct {
 	// clique-partition state (shared by greedy bound construction)
 	clique  []int
 	members []int
-	degSort degSorter
 }
-
-// WorkspaceSolver is the optional allocation-free fast path of a Solver.
-// Greedy, Exact and Hybrid implement it.
-type WorkspaceSolver interface {
-	Solver
-	// SolveWorkspace returns exactly what Solve returns, drawing every
-	// buffer (including the result) from ws.
-	SolveWorkspace(in Instance, ws *Workspace) ([]int, error)
-}
-
-var (
-	_ WorkspaceSolver = Greedy{}
-	_ WorkspaceSolver = Exact{}
-	_ WorkspaceSolver = Hybrid{}
-)
 
 // growInts resizes *s to length n, reusing capacity.
 func growInts(s *[]int, n int) []int {
@@ -153,25 +141,8 @@ func sortByWeight(order []int, w []float64) {
 	})
 }
 
-// degSorter orders vertex ids by decreasing degree, ties toward the lower
-// id — greedyCliquePartition's comparator as a sort.Interface.
-type degSorter struct {
-	g     *graph.Graph
-	order []int
-}
-
-func (s *degSorter) Len() int      { return len(s.order) }
-func (s *degSorter) Swap(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] }
-func (s *degSorter) Less(i, j int) bool {
-	da, db := s.g.Degree(s.order[i]), s.g.Degree(s.order[j])
-	if da != db {
-		return da > db
-	}
-	return s.order[i] < s.order[j]
-}
-
-// SolveWorkspace implements WorkspaceSolver: Greedy.Solve with every buffer
-// drawn from ws. The selection loop is identical, so the result is too.
+// SolveWorkspace is Greedy's body, with every buffer (the result included)
+// drawn from ws.
 func (g Greedy) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -199,8 +170,8 @@ func (g Greedy) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 	return out, nil
 }
 
-// SolveWorkspace implements WorkspaceSolver: Exact.Solve reusing the
-// workspace's buffers, including the graph preparation.
+// SolveWorkspace is Exact's body, with every buffer (the result and the
+// graph preparation included) drawn from ws.
 func (e Exact) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -220,42 +191,17 @@ func (e Exact) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 	return out, nil
 }
 
-// SolveWorkspace implements WorkspaceSolver. It returns exactly what
-// Hybrid.Solve returns but runs Exact first and Greedy only on budget
-// exhaustion: when the budgeted exact search completes, its set is a true
-// optimum, so Solve's weight comparison always picks it over the greedy set
-// — skipping the greedy solve entirely cannot change the output.
+// SolveWorkspace is Hybrid's body: above MaxExactNodes the greedy set,
+// otherwise SolvePrepared over a fresh preparation in ws. The exact search
+// runs first and Greedy only when the budget runs out: a search that
+// completes returns an optimum, which the greedy set can only tie.
 func (h Hybrid) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	budget := h.Budget
-	if budget == 0 {
-		budget = 50000
-	}
-	maxExact := h.MaxExactNodes
-	if maxExact == 0 {
-		maxExact = 512
-	}
-	if in.G.N() > maxExact {
+	if _, maxExact := h.limits(); in.G.N() > maxExact {
 		return Greedy{}.SolveWorkspace(in, ws)
 	}
-	exactSet, err := Exact{MaxNodes: maxExact, Budget: budget}.SolveWorkspace(in, ws)
-	if err == nil {
-		return exactSet, nil
-	}
-	if !errors.Is(err, ErrBudgetExceeded) {
-		return nil, err
-	}
-	// Budget exhausted: the incumbent may be beaten by the greedy set, the
-	// same comparison Solve makes. Greedy draws from disjoint buffers
-	// (ws.gout vs ws.eout), so exactSet stays valid across the call.
-	greedySet, gerr := Greedy{}.SolveWorkspace(in, ws)
-	if gerr != nil {
-		return nil, gerr
-	}
-	if in.Weight(exactSet) >= in.Weight(greedySet) {
-		return exactSet, nil
-	}
-	return greedySet, nil
+	ws.pre.Prepare(in.G, ws)
+	return h.SolvePrepared(&ws.pre, in.W, ws)
 }

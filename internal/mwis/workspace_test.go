@@ -5,41 +5,61 @@ import (
 	"math"
 	"testing"
 
+	"multihopbandit/internal/graph"
 	"multihopbandit/internal/rng"
 )
 
+// workspaceSolver is a solver with a workspace body: Greedy, Exact and
+// Hybrid.
+type workspaceSolver interface {
+	Solver
+	SolveWorkspace(in Instance, ws *Workspace) ([]int, error)
+}
+
 // TestSolveWorkspaceMatchesSolve is the workspace path's bit-identity
-// guard: for every solver, SolveWorkspace on a shared reused workspace must
-// return exactly what a fresh Solve returns — same set, same error class —
-// across random instances of varying size and density, including budgeted
-// exact searches that exhaust their budget.
+// guard: for every solver, SolveWorkspace on a shared reused workspace and
+// the pooled Solve must return exactly what the reference returns — same
+// set, same error class — across random instances of varying size and
+// density, including budgeted exact searches that exhaust their budget. The
+// references are the allocating Greedy and Hybrid bodies (reference_test.go);
+// Exact has only its workspace body, which TestRankSearchMatchesReference
+// pins, so its pooled Solve is its reference here.
 func TestSolveWorkspaceMatchesSolve(t *testing.T) {
-	solvers := []WorkspaceSolver{
-		Greedy{},
-		Exact{},
-		Exact{Budget: 8}, // forces ErrBudgetExceeded incumbents
-		Hybrid{},
-		Hybrid{Budget: 8},
-		Hybrid{MaxExactNodes: 10}, // forces the greedy-only branch
+	hybrid := func(h Hybrid) func(Instance) ([]int, error) {
+		return func(in Instance) ([]int, error) { return referenceHybridSolve(h, in) }
+	}
+	solvers := []struct {
+		s   workspaceSolver
+		ref func(Instance) ([]int, error)
+	}{
+		{Greedy{}, referenceGreedySolve},
+		{Exact{}, Exact{}.Solve},
+		{Exact{Budget: 8}, Exact{Budget: 8}.Solve}, // forces ErrBudgetExceeded incumbents
+		{Hybrid{}, hybrid(Hybrid{})},
+		{Hybrid{Budget: 8}, hybrid(Hybrid{Budget: 8})},
+		{Hybrid{MaxExactNodes: 10}, hybrid(Hybrid{MaxExactNodes: 10})}, // forces the greedy-only branch
 	}
 	var ws Workspace
 	for seed := int64(0); seed < 60; seed++ {
 		src := rng.New(seed)
 		n := 4 + src.Intn(24)
 		in := randomInstance(n, 0.1+0.3*src.Float64(), src)
-		for _, s := range solvers {
-			want, wantErr := s.Solve(in)
+		for _, c := range solvers {
+			s := c.s
+			want, wantErr := c.ref(in)
 			got, gotErr := s.SolveWorkspace(in, &ws)
-			if (wantErr == nil) != (gotErr == nil) ||
-				errors.Is(wantErr, ErrBudgetExceeded) != errors.Is(gotErr, ErrBudgetExceeded) {
-				t.Fatalf("seed %d %s: error %v (workspace) vs %v (solve)", seed, s.Name(), gotErr, wantErr)
-			}
-			if len(want) != len(got) {
-				t.Fatalf("seed %d %s: %v (workspace) vs %v (solve)", seed, s.Name(), got, want)
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("seed %d %s: %v (workspace) vs %v (solve)", seed, s.Name(), got, want)
+			pooled, pooledErr := s.Solve(in)
+			for _, r := range []struct {
+				path string
+				set  []int
+				err  error
+			}{{"workspace", got, gotErr}, {"solve", pooled, pooledErr}} {
+				if (wantErr == nil) != (r.err == nil) ||
+					errors.Is(wantErr, ErrBudgetExceeded) != errors.Is(r.err, ErrBudgetExceeded) {
+					t.Fatalf("seed %d %s: error %v (%s) vs %v (reference)", seed, s.Name(), r.err, r.path, wantErr)
+				}
+				if !equalIntSlices(r.set, want) {
+					t.Fatalf("seed %d %s: %v (%s) vs %v (reference)", seed, s.Name(), r.set, r.path, want)
 				}
 			}
 		}
@@ -50,7 +70,7 @@ func TestSolveWorkspaceMatchesSolve(t *testing.T) {
 func TestSolveWorkspaceEmptyAndInvalid(t *testing.T) {
 	var ws Workspace
 	empty := randomInstance(0, 0, rng.New(1))
-	for _, s := range []WorkspaceSolver{Greedy{}, Exact{}, Hybrid{}} {
+	for _, s := range []workspaceSolver{Greedy{}, Exact{}, Hybrid{}} {
 		set, err := s.SolveWorkspace(empty, &ws)
 		if err != nil || len(set) != 0 {
 			t.Fatalf("%s on empty instance: set %v, err %v", s.Name(), set, err)
@@ -58,7 +78,7 @@ func TestSolveWorkspaceEmptyAndInvalid(t *testing.T) {
 	}
 	bad := randomInstance(5, 0.3, rng.New(2))
 	bad.W[2] = -1
-	for _, s := range []WorkspaceSolver{Greedy{}, Exact{}, Hybrid{}} {
+	for _, s := range []workspaceSolver{Greedy{}, Exact{}, Hybrid{}} {
 		if _, err := s.SolveWorkspace(bad, &ws); err == nil {
 			t.Fatalf("%s accepted a negative weight", s.Name())
 		}
@@ -74,7 +94,7 @@ func TestSolveWorkspaceEmptyAndInvalid(t *testing.T) {
 func TestSolveWorkspaceNoAllocs(t *testing.T) {
 	in := randomInstance(18, 0.25, rng.New(9))
 	var ws Workspace
-	for _, s := range []WorkspaceSolver{Greedy{}, Exact{}, Hybrid{}} {
+	for _, s := range []workspaceSolver{Greedy{}, Exact{}, Hybrid{}} {
 		if _, err := s.SolveWorkspace(in, &ws); err != nil { // warm
 			t.Fatal(err)
 		}
@@ -90,7 +110,8 @@ func TestSolveWorkspaceNoAllocs(t *testing.T) {
 
 // TestSolvePreparedMatchesSolve is the prepared path's bit-identity guard:
 // preparing a graph once and solving it under many weight vectors must
-// return exactly what Hybrid.Solve returns per vector — including budgeted
+// return exactly what the allocating Hybrid body (referenceHybridSolve)
+// returns per vector — including budgeted
 // searches that fall back to the greedy heuristic and oversize instances
 // that skip the exact search entirely.
 func TestSolvePreparedMatchesSolve(t *testing.T) {
@@ -108,18 +129,13 @@ func TestSolvePreparedMatchesSolve(t *testing.T) {
 		pre.Prepare(in.G, &ws)
 		for rounds := 0; rounds < 4; rounds++ {
 			for _, h := range hybrids {
-				want, wantErr := h.Solve(in)
+				want, wantErr := referenceHybridSolve(h, in)
 				got, gotErr := h.SolvePrepared(&pre, in.W, &ws)
 				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("seed %d: error %v (prepared) vs %v (solve)", seed, gotErr, wantErr)
+					t.Fatalf("seed %d: error %v (prepared) vs %v (reference)", seed, gotErr, wantErr)
 				}
-				if len(want) != len(got) {
-					t.Fatalf("seed %d: %v (prepared) vs %v (solve)", seed, got, want)
-				}
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("seed %d: %v (prepared) vs %v (solve)", seed, got, want)
-					}
+				if !equalIntSlices(got, want) {
+					t.Fatalf("seed %d: %v (prepared) vs %v (reference)", seed, got, want)
 				}
 			}
 			// Drift the weights and re-solve on the same preparation.
@@ -127,6 +143,41 @@ func TestSolvePreparedMatchesSolve(t *testing.T) {
 				in.W[src.Intn(n)] = src.Float64()
 			}
 		}
+	}
+}
+
+// TestHybridKeepsExhaustiveSetOnRoundingTie pins the one case where
+// Hybrid's body and the allocating body it replaced differ. {0,1,2} and
+// {1,3,4} both weigh 22/9, but their float sums differ in the last bit.
+// The exact search exhausts and returns {1,3,4}; the allocating body also
+// ran Greedy, found {0,1,2}, and returned it for its larger float sum. The
+// body keeps the search's set, as the decider always has.
+func TestHybridKeepsExhaustiveSetOnRoundingTie(t *testing.T) {
+	g := graph.New(5)
+	for _, e := range [][2]int{{0, 3}, {2, 3}, {2, 4}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := Instance{G: g, W: []float64{1.0 / 9, 12.0 / 9, 1, 4.0 / 9, 6.0 / 9}}
+	want := []int{1, 3, 4}
+	if ref, _ := referenceHybridSolve(Hybrid{}, in); !equalIntSlices(ref, []int{0, 1, 2}) || in.Weight(ref) <= in.Weight(want) {
+		t.Fatalf("reference returned %v (weight %.17g), want the greedy set [0 1 2] at a larger float sum than %.17g",
+			ref, in.Weight(ref), in.Weight(want))
+	}
+	var ws Workspace
+	var pre Prepared
+	pre.Prepare(g, &ws)
+	prepared, err := Hybrid{}.SolvePrepared(&pre, in.W, &ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved, err := Hybrid{}.Solve(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalIntSlices(prepared, want) || !equalIntSlices(solved, want) {
+		t.Fatalf("prepared %v, solve %v, want the exhaustive search's %v", prepared, solved, want)
 	}
 }
 

@@ -21,6 +21,9 @@ func buildExtB(b *testing.B, n, m int, seed int64) *extgraph.Extended {
 	return ext
 }
 
+// BenchmarkDecideServeShape times the from-scratch oracle decision
+// (referenceDecide) on the serving shape: a 10×2 network, r=2, D=4. It is
+// the baseline BenchmarkDeciderServeShape's speedup is read against.
 func BenchmarkDecideServeShape(b *testing.B) {
 	ext := buildExtB(b, 10, 2, 1)
 	rt, err := New(Config{Ext: ext, R: 2, D: 4})
@@ -32,7 +35,7 @@ func BenchmarkDecideServeShape(b *testing.B) {
 	for i := range weights {
 		weights[i] = src.Float64()
 	}
-	res, err := rt.Decide(weights, nil)
+	res, err := referenceDecide(rt, weights, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,7 +43,7 @@ func BenchmarkDecideServeShape(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rt.Decide(weights, prev); err != nil {
+		if _, err := referenceDecide(rt, weights, prev); err != nil {
 			b.Fatal(err)
 		}
 	}

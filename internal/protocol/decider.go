@@ -204,10 +204,10 @@ func NewDecideArena() *DecideArena {
 func (a *DecideArena) get() *decideScratch   { return a.pool.Get().(*decideScratch) }
 func (a *DecideArena) put(sc *decideScratch) { a.pool.Put(sc) }
 
-// Decider executes strategy decisions over one Runtime with persistent
-// per-consumer state. Where Runtime.Decide rebuilds scratch, induced
-// subgraphs and solver state on every call, a Decider keeps them alive
-// across decisions:
+// Decider executes strategy decisions over one Runtime. It is the one
+// implementation of the decision (Algorithm 3): Fig. 6, the ablations,
+// queueing and every hosted instance decide through it. It keeps
+// per-consumer state alive across decisions:
 //
 //   - scratch buffers (statuses, leader lists, candidate sets) and a
 //     graph.SubgraphArena + mwis.Workspace, so a steady-state full decision
@@ -225,16 +225,16 @@ func (a *DecideArena) put(sc *decideScratch) { a.pool.Put(sc) }
 //     (sensitivity skip), and replays the cached split in either case.
 //
 // All layers are exact — same inputs produce bit-identical Results, Stats
-// included (see TestDeciderMatchesReferenceRandomized) — so a Decider is a
-// drop-in for Runtime.Decide on any trajectory. A Decider is confined to
-// one goroutine; create one per consumer (the slot kernel embeds one per
-// Loop). Results it returns follow Runtime.Decide's contract: they are
-// never mutated afterwards, and an epoch-skipped boundary returns the same
-// *Result as the decision it replays.
+// included, to a from-scratch decision on any trajectory (the tests keep
+// that decision as their oracle; see TestDeciderMatchesReferenceRandomized)
+// — so a fresh Decider used once is the one-shot decide. A Decider is
+// confined to one goroutine; create one per consumer (the slot kernel
+// embeds one per Loop). Results it returns are never mutated afterwards,
+// and an epoch-skipped boundary returns the same *Result as the decision
+// it replays.
 type Decider struct {
 	rt      *Runtime
-	wss     mwis.WorkspaceSolver // nil when the runtime's solver has no workspace path
-	hyb     mwis.Hybrid          // the prepared-path solver when hasHyb
+	hyb     mwis.Hybrid // the prepared-path solver when hasHyb
 	hasHyb  bool
 	scratch decideScratch
 	shared  *DecideArena // when non-nil, full decides borrow scratch here
@@ -266,10 +266,10 @@ type Decider struct {
 	finalizeStart time.Time
 }
 
-// NewDecider returns a fresh Decider over the runtime. The heavy topology
+// NewDecider returns a fresh Decider over this runtime. The heavy topology
 // precomputation lives in the Runtime and is shared; the Decider only adds
 // the per-consumer mutable state.
-func NewDecider(rt *Runtime) *Decider {
+func (rt *Runtime) NewDecider() *Decider {
 	n := rt.ext.H.N()
 	d := &Decider{
 		rt:          rt,
@@ -277,18 +277,12 @@ func NewDecider(rt *Runtime) *Decider {
 		lastChanged: make([]int64, n),
 	}
 	d.scratch.size(n, rt.adjWords)
-	if wss, ok := rt.solver.(mwis.WorkspaceSolver); ok {
-		d.wss = wss
-	}
 	if hyb, ok := rt.solver.(mwis.Hybrid); ok {
 		d.hyb = hyb
 		d.hasHyb = true
 	}
 	return d
 }
-
-// NewDecider returns a fresh Decider over this runtime.
-func (rt *Runtime) NewDecider() *Decider { return NewDecider(rt) }
 
 // Runtime returns the shared runtime the decider decides over.
 func (d *Decider) Runtime() *Runtime { return d.rt }
@@ -310,10 +304,13 @@ func (d *Decider) SetArena(a *DecideArena) { d.shared = a }
 // it cannot change any decision output.
 func (d *Decider) SetTracer(fn func(*DecideTrace)) { d.tracer = fn }
 
-// Decide runs one strategy decision with the incremental state, comparing
-// the inputs against the previous call's to detect an unchanged weight
-// epoch itself. Output is bit-identical to Runtime.Decide on the same
-// inputs.
+// Decide runs one strategy decision (the strategy-decision part of
+// Algorithm 2): a WB step for the vertices played in the previous round,
+// then up to D mini-rounds of Algorithm 3 under the given per-vertex index
+// weights. prevPlayed lists the vertex ids included in the previous
+// round's strategy (they are the only vertices with fresh weights to
+// broadcast); pass nil on the first round. The inputs are compared against
+// the previous call's to detect an unchanged weight epoch.
 func (d *Decider) Decide(weights []float64, prevPlayed []int) (*Result, error) {
 	return d.decide(weights, prevPlayed, false, nil)
 }
@@ -411,11 +408,11 @@ func (d *Decider) decide(weights []float64, prevPlayed []int, weightsUnchanged b
 	return res, nil
 }
 
-// decideFull mirrors Runtime.Decide step for step over the persistent
-// buffers; any observable divergence is a bug the randomized equivalence
-// suite exists to catch. The winner-weight series and all Stats are always
-// recomputed from the current weight vector — replayed leader splits
-// contribute current weights, never cached ones.
+// decideFull runs the WB step and the mini-round loop over the persistent
+// buffers; any observable divergence from the from-scratch oracle is a bug
+// the differential suites exist to catch. The winner-weight series and all
+// Stats are always recomputed from the current weight vector — replayed
+// leader splits contribute current weights, never cached ones.
 func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) (*Result, error) {
 	rt := d.rt
 	h := rt.ext.H
@@ -558,7 +555,12 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 	return res, nil
 }
 
-// selectLeaders is Runtime.selectLeaders over the scratch leader buffer.
+// selectLeaders returns the Candidates whose (weight, -id) is lexicographic
+// maximum among all Candidates within their (2r+1)-hop neighborhood. The
+// strict id tie-break guarantees no two leaders are within 2r+1 hops even
+// under equal weights, which keeps the leaders' r-balls disjoint and the
+// union of their local MWIS results independent. The returned slice is the
+// scratch leader buffer: it is only valid until the next call.
 func (d *Decider) selectLeaders(sc *decideScratch, weights []float64, status []Status) []int {
 	leaders := sc.leaders[:0]
 	for v, st := range status {
@@ -672,12 +674,7 @@ func (d *Decider) localDecision(sc *decideScratch, v int, weights []float64, sta
 		e.valid = false
 		e.slack = 0 // no certificate off the prepared hybrid path
 		sub, _ := sc.arena.Induced(d.rt.ext.H, ar)
-		in := mwis.Instance{G: sub, W: w}
-		if d.wss != nil {
-			localIS, err = d.wss.SolveWorkspace(in, &sc.ws)
-		} else {
-			localIS, err = d.rt.solver.Solve(in)
-		}
+		localIS, err = d.rt.solver.Solve(mwis.Instance{G: sub, W: w})
 	}
 	if err != nil && !errors.Is(err, mwis.ErrBudgetExceeded) {
 		return nil, nil, fmt.Errorf("protocol: local MWIS at leader %d: %w", v, err)

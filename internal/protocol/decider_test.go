@@ -1,12 +1,15 @@
 package protocol
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"multihopbandit/internal/changeset"
+	"multihopbandit/internal/extgraph"
 	"multihopbandit/internal/mwis"
 	"multihopbandit/internal/rng"
+	"multihopbandit/internal/topology"
 )
 
 // decideSequence drives one Decider and the from-scratch reference through
@@ -17,7 +20,7 @@ func decideSequence(t *testing.T, rt *Runtime, dec *Decider, weightSeq [][]float
 	t.Helper()
 	var prevRef, prevInc []int
 	for i, w := range weightSeq {
-		want, err := rt.Decide(w, prevRef)
+		want, err := referenceDecide(rt, w, prevRef)
 		if err != nil {
 			t.Fatalf("decision %d: reference: %v", i, err)
 		}
@@ -97,6 +100,139 @@ func TestDeciderMatchesReferenceRandomized(t *testing.T) {
 				seed, st.Decisions(), len(seq), st)
 		}
 	}
+}
+
+// TestDeciderMatchesReferenceFig6Scale runs the differential check at the
+// paper's Fig. 6 sizes, where leader balls hold hundreds of vertices and
+// the mini-round cap truncates the decision: random networks of target
+// degree 6 at 100×5 (D=4 and D=0), 200×10 (D=4) and 100×10 (D=0), r=2,
+// seeds 1–3. For each, a fresh Decider must deep-equal the oracle, Stats
+// included, on a first decision (prevPlayed nil) and on a second that
+// rebroadcasts the first's winners. Every D=4 case stops after 4
+// mini-rounds with candidates left; every D=0 case converges.
+func TestDeciderMatchesReferenceFig6Scale(t *testing.T) {
+	cases := []struct{ n, m, d int }{{100, 5, 4}, {100, 5, 0}, {200, 10, 4}, {100, 10, 0}}
+	for _, c := range cases {
+		for seed := int64(1); seed <= 3; seed++ {
+			desc := fmt.Sprintf("%dx%d D=%d seed %d", c.n, c.m, c.d, seed)
+			nw, err := topology.Random(topology.RandomConfig{N: c.n, TargetDegree: 6}, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ext, err := extgraph.Build(nw.G, c.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := New(Config{Ext: ext, R: 2, D: c.d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := randomWeights(ext.K(), seed)
+			dec := rt.NewDecider()
+			var prev []int
+			for step := 0; step < 2; step++ {
+				want, err := referenceDecide(rt, w, prev)
+				if err != nil {
+					t.Fatalf("%s step %d: reference: %v", desc, step, err)
+				}
+				got, err := dec.Decide(w, prev)
+				if err != nil {
+					t.Fatalf("%s step %d: decider: %v", desc, step, err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s step %d: decider diverged from the reference:\n got %+v\nwant %+v", desc, step, got, want)
+				}
+				if truncated := c.d > 0; got.Converged == truncated || (truncated && got.MiniRounds != c.d) {
+					t.Fatalf("%s step %d: converged %v after %d mini-rounds", desc, step, got.Converged, got.MiniRounds)
+				}
+				prev = got.Winners
+			}
+		}
+	}
+}
+
+// FuzzDeciderMatchesReference drives one Decider and the from-scratch
+// oracle through a fuzzed weight trajectory and requires deep-equal Results
+// at every step. The first six bytes choose the instance: n ≤ 30 nodes,
+// m ≤ 3 channels, r ≤ 3, D ≤ 4 (0 = unbounded), the local solver (default
+// Hybrid, Greedy, or Hybrid with a 16-node budget) and the topology seed.
+// Each further byte is one step, its low two bits the move: a full redraw,
+// an exact repeat, all weights tied at one value, or ±1e-12 drifts of a few
+// weights. The high six bits parameterize the move, and an rng seeded by
+// the whole input draws its values. The committed corpus under
+// testdata/fuzz holds tie and tiny-drift trajectories; tie-drift-rounding
+// is a drift that closes a slack margin exactly, which the certificate
+// replayed until it was deflated by a rounding bound.
+func FuzzDeciderMatchesReference(f *testing.F) {
+	f.Add([]byte{24, 2, 1, 4, 0, 7, 0, 3, 3, 1, 0, 3, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 7 {
+			return
+		}
+		n, m, r, capD := 1+int(data[0])%30, 1+int(data[1])%3, 1+int(data[2])%3, int(data[3])%5
+		solver := []mwis.Solver{nil, mwis.Greedy{}, mwis.Hybrid{Budget: 16}}[data[4]%3]
+		nw, err := topology.Random(topology.RandomConfig{N: n}, rng.New(int64(data[5])))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext, err := extgraph.Build(nw.G, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := New(Config{Ext: ext, R: r, D: capD, Solver: solver})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := int64(0)
+		for _, b := range data {
+			seed = seed*131 + int64(b)
+		}
+		src := rng.New(seed)
+		steps := data[6:]
+		if len(steps) > 24 {
+			steps = steps[:24]
+		}
+		k := ext.K()
+		w := make([]float64, k)
+		dec := rt.NewDecider()
+		var prevRef, prevDec []int
+		for i, b := range steps {
+			next := append([]float64(nil), w...)
+			switch b & 3 {
+			case 0: // redraw
+				for j := range next {
+					next[j] = src.Float64()
+				}
+			case 1: // exact repeat
+			case 2: // every weight tied
+				for j := range next {
+					next[j] = float64(b>>2) / 64
+				}
+			case 3: // ±1e-12 drifts
+				for c := 0; c <= int(b>>2)%4; c++ {
+					j := src.Intn(k)
+					if next[j] < 1e-12 || src.Intn(2) == 0 {
+						next[j] += 1e-12
+					} else {
+						next[j] -= 1e-12
+					}
+				}
+			}
+			w = next
+			want, err := referenceDecide(rt, w, prevRef)
+			if err != nil {
+				t.Fatalf("step %d: reference: %v", i, err)
+			}
+			got, err := dec.Decide(w, prevDec)
+			if err != nil {
+				t.Fatalf("step %d: decider: %v", i, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("step %d (move %d): decider diverged from the reference:\n got %+v\nwant %+v", i, b&3, got, want)
+			}
+			prevRef, prevDec = want.Winners, got.Winners
+		}
+	})
 }
 
 // TestDeciderEpochSkip pins the short-circuit behavior: repeating the exact
@@ -538,7 +674,7 @@ func TestDeciderChangeSetEquivalence(t *testing.T) {
 			}
 		}
 		copy(last, w)
-		want, err := rt.Decide(w, prevRef)
+		want, err := referenceDecide(rt, w, prevRef)
 		if err != nil {
 			t.Fatal(err)
 		}

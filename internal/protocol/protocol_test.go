@@ -54,7 +54,7 @@ func TestDecideWeightsLengthCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Decide([]float64{1, 2}, nil); err == nil {
+	if _, err := rt.NewDecider().Decide([]float64{1, 2}, nil); err == nil {
 		t.Fatal("expected weight length error")
 	}
 }
@@ -66,7 +66,7 @@ func TestDecideOutputIsIndependentSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := rt.Decide(randomWeights(ext.K(), seed+100), nil)
+		res, err := rt.NewDecider().Decide(randomWeights(ext.K(), seed+100), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestDecideOutputIndependentUnderCappedD(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := rt.Decide(randomWeights(ext.K(), seed+5), nil)
+		res, err := rt.NewDecider().Decide(randomWeights(ext.K(), seed+5), nil)
 		if err != nil {
 			return false
 		}
@@ -105,7 +105,7 @@ func TestDecideConvergesUnbounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rt.Decide(randomWeights(ext.K(), 8), nil)
+	res, err := rt.NewDecider().Decide(randomWeights(ext.K(), 8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,11 @@ func TestDecideDeterministic(t *testing.T) {
 	w := randomWeights(ext.K(), 4)
 	rt1, _ := New(Config{Ext: ext, R: 2})
 	rt2, _ := New(Config{Ext: ext, R: 2})
-	a, err := rt1.Decide(w, nil)
+	a, err := rt1.NewDecider().Decide(w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rt2.Decide(w, nil)
+	b, err := rt2.NewDecider().Decide(w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestWeightByMiniRoundMonotone(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := rt.Decide(randomWeights(ext.K(), seed+9), nil)
+		res, err := rt.NewDecider().Decide(randomWeights(ext.K(), seed+9), nil)
 		if err != nil {
 			return false
 		}
@@ -177,7 +177,8 @@ func TestLeadersPairwiseSeparated(t *testing.T) {
 	for i := range status {
 		status[i] = Candidate
 	}
-	leaders := rt.selectLeaders(w, status, new(scratch))
+	dec := rt.NewDecider()
+	leaders := dec.selectLeaders(&dec.scratch, w, status)
 	if len(leaders) == 0 {
 		t.Fatal("no leaders selected")
 	}
@@ -205,7 +206,8 @@ func TestGlobalMaxIsAlwaysLeader(t *testing.T) {
 	for i := range status {
 		status[i] = Candidate
 	}
-	leaders := rt.selectLeaders(w, status, new(scratch))
+	dec := rt.NewDecider()
+	leaders := dec.selectLeaders(&dec.scratch, w, status)
 	found := false
 	for _, l := range leaders {
 		if l == best {
@@ -226,7 +228,7 @@ func TestEqualWeightsTieBreak(t *testing.T) {
 		w[i] = 1
 	}
 	rt, _ := New(Config{Ext: ext, R: 2, D: 0})
-	res, err := rt.Decide(w, nil)
+	res, err := rt.NewDecider().Decide(w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +264,7 @@ func TestLinearWorstCaseNeedsManyMiniRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rt.Decide(w, nil)
+	res, err := rt.NewDecider().Decide(w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +277,7 @@ func TestLinearWorstCaseNeedsManyMiniRounds(t *testing.T) {
 	// a small constant number of mini-rounds (Theorem 4 / Fig. 6).
 	extR := buildExt(t, 40, 1, 21)
 	rtR, _ := New(Config{Ext: extR, R: 2, D: 0})
-	resR, err := rtR.Decide(randomWeights(extR.K(), 22), nil)
+	resR, err := rtR.NewDecider().Decide(randomWeights(extR.K(), 22), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +293,7 @@ func TestRandomNetworksConvergeFast(t *testing.T) {
 	for _, n := range []int{30, 60, 100} {
 		ext := buildExt(t, n, 5, int64(n))
 		rt, _ := New(Config{Ext: ext, R: 2, D: 0})
-		res, err := rt.Decide(randomWeights(ext.K(), int64(n)+1), nil)
+		res, err := rt.NewDecider().Decide(randomWeights(ext.K(), int64(n)+1), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,12 +310,13 @@ func TestMessageComplexityBounded(t *testing.T) {
 	maxAt := func(n int) int {
 		ext := buildExt(t, n, 3, int64(n)*7)
 		rt, _ := New(Config{Ext: ext, R: 2, D: 4})
+		dec := rt.NewDecider()
 		// Use a full previous strategy so WB cost is realistic.
-		res1, err := rt.Decide(randomWeights(ext.K(), 1), nil)
+		res1, err := dec.Decide(randomWeights(ext.K(), 1), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res2, err := rt.Decide(randomWeights(ext.K(), 2), res1.Winners)
+		res2, err := dec.Decide(randomWeights(ext.K(), 2), res1.Winners)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +332,7 @@ func TestMessageComplexityBounded(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	ext := buildExt(t, 20, 3, 13)
 	rt, _ := New(Config{Ext: ext, R: 2, D: 3})
-	res, err := rt.Decide(randomWeights(ext.K(), 14), []int{0, 5})
+	res, err := rt.NewDecider().Decide(randomWeights(ext.K(), 14), []int{0, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +351,7 @@ func TestStatsAccounting(t *testing.T) {
 func TestDecideBadPrevPlayed(t *testing.T) {
 	ext := buildExt(t, 5, 2, 1)
 	rt, _ := New(Config{Ext: ext})
-	if _, err := rt.Decide(randomWeights(ext.K(), 1), []int{999}); err == nil {
+	if _, err := rt.NewDecider().Decide(randomWeights(ext.K(), 1), []int{999}); err == nil {
 		t.Fatal("expected range error for bad prevPlayed")
 	}
 }
@@ -361,7 +364,7 @@ func TestDistributedMatchesCentralizedQuality(t *testing.T) {
 		ext := buildExt(t, 12, 2, seed)
 		w := randomWeights(ext.K(), seed+50)
 		rt, _ := New(Config{Ext: ext, R: 2, D: 0})
-		res, err := rt.Decide(w, nil)
+		res, err := rt.NewDecider().Decide(w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +393,7 @@ func TestWinnersNeighborsAreNotWinners(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := rt.Decide(randomWeights(ext.K(), seed+3), nil)
+		res, err := rt.NewDecider().Decide(randomWeights(ext.K(), seed+3), nil)
 		if err != nil {
 			return false
 		}
@@ -436,7 +439,7 @@ func TestRuntimeWithGreedySolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rt.Decide(randomWeights(ext.K(), 18), nil)
+	res, err := rt.NewDecider().Decide(randomWeights(ext.K(), 18), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +475,7 @@ func TestEmptyGraphDecide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rt.Decide(nil, nil)
+	res, err := rt.NewDecider().Decide(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,11 +484,12 @@ func TestEmptyGraphDecide(t *testing.T) {
 	}
 }
 
-// TestConcurrentDecideAccounting shares one Runtime across many goroutines
-// — the serving runtime hosts many instances on one memoized runtime — and
-// checks every concurrent Decide reproduces the serial run exactly,
-// including the full message/mini-timeslot accounting. Run under -race this
-// is the proof that Decide only reads the precomputed balls.
+// TestConcurrentDecideAccounting shares one Runtime across many goroutines,
+// one Decider each — the serving runtime hosts many instances on one
+// memoized runtime — and checks every concurrent decision reproduces the
+// serial run exactly, including the full message/mini-timeslot accounting.
+// Run under -race this is the proof that Deciders only read the Runtime's
+// precomputed balls.
 func TestConcurrentDecideAccounting(t *testing.T) {
 	ext := buildExt(t, 14, 3, 21)
 	rt, err := New(Config{Ext: ext, R: 2, D: 4})
@@ -497,12 +501,12 @@ func TestConcurrentDecideAccounting(t *testing.T) {
 	for i := range weights {
 		weights[i] = src.Float64()
 	}
-	ref, err := rt.Decide(weights, nil)
+	ref, err := rt.NewDecider().Decide(weights, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := ref.Winners
-	ref2, err := rt.Decide(weights, prev)
+	ref2, err := rt.NewDecider().Decide(weights, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,6 +518,7 @@ func TestConcurrentDecideAccounting(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			dec := rt.NewDecider()
 			for it := 0; it < iters; it++ {
 				// Alternate the WB pattern so both code paths run hot.
 				want := ref
@@ -521,7 +526,7 @@ func TestConcurrentDecideAccounting(t *testing.T) {
 				if it%2 == 1 {
 					want, played = ref2, prev
 				}
-				got, err := rt.Decide(weights, played)
+				got, err := dec.Decide(weights, played)
 				if err != nil {
 					t.Error(err)
 					return
@@ -582,8 +587,9 @@ func TestManyInstancesMessageAccounting(t *testing.T) {
 	replay := func(s seq) (account, error) {
 		var acc account
 		var prev []int
+		dec := s.rt.NewDecider()
 		for d := 0; d < 3; d++ {
-			res, err := s.rt.Decide(s.weights, prev)
+			res, err := dec.Decide(s.weights, prev)
 			if err != nil {
 				return acc, err
 			}

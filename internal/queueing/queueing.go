@@ -46,7 +46,7 @@ type Config struct {
 type System struct {
 	ext     *extgraph.Extended
 	rates   channel.Sampler
-	rt      *protocol.Runtime
+	dec     *protocol.Decider
 	est     *policy.Estimator
 	oracle  bool
 	lambda  float64
@@ -89,7 +89,7 @@ func New(cfg Config) (*System, error) {
 	return &System{
 		ext:     cfg.Ext,
 		rates:   cfg.Rates,
-		rt:      rt,
+		dec:     rt.NewDecider(),
 		est:     est,
 		oracle:  cfg.UseOracle,
 		lambda:  cfg.ArrivalRate,
@@ -161,7 +161,7 @@ func (s *System) Step() (*SlotStats, error) {
 		}
 		weights[k] = s.queues[node] * rate
 	}
-	dec, err := s.rt.Decide(weights, s.played)
+	dec, err := s.dec.Decide(weights, s.played)
 	if err != nil {
 		return nil, fmt.Errorf("queueing: schedule at slot %d: %w", s.slot, err)
 	}

@@ -67,7 +67,7 @@ func runDecision(ext *extgraph.Extended, w []float64, r, d int, solver mwis.Solv
 	if err != nil {
 		return AblationPoint{}, err
 	}
-	res, err := rt.Decide(w, nil)
+	res, err := rt.NewDecider().Decide(w, nil)
 	if err != nil {
 		return AblationPoint{}, err
 	}

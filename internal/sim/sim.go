@@ -23,7 +23,6 @@ import (
 	"multihopbandit/internal/engine"
 	"multihopbandit/internal/extgraph"
 	"multihopbandit/internal/policy"
-	"multihopbandit/internal/protocol"
 	"multihopbandit/internal/regret"
 	"multihopbandit/internal/rng"
 	"multihopbandit/internal/spec"
@@ -129,11 +128,11 @@ func runFig6Size(cfg Fig6Config, size Size, cache *engine.ArtifactCache) (Fig6Se
 	if err != nil {
 		return Fig6Series{}, fmt.Errorf("sim: fig6 %dx%d: %w", size.N, size.M, err)
 	}
-	rt, err := protocol.New(protocol.Config{Ext: inst.Ext, R: cfg.R, D: cfg.MiniRounds})
+	rt, err := inst.Runtime(cfg.R, cfg.MiniRounds)
 	if err != nil {
 		return Fig6Series{}, err
 	}
-	res, err := rt.Decide(inst.Means, nil)
+	res, err := rt.NewDecider().Decide(inst.Means, nil)
 	if err != nil {
 		return Fig6Series{}, fmt.Errorf("sim: fig6 decide %dx%d: %w", size.N, size.M, err)
 	}
