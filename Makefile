@@ -12,7 +12,7 @@ BANDITD_BINARY_ADDR ?= 127.0.0.1:8660
 # Fig. 7 replication) through the shared slot kernel.
 GOLDEN_ARGS = -exp all -seed 1 -slots 300 -periods 40 -reps 3
 
-.PHONY: all build fmt-check vet test race stackbench-test bench bench-smoke bench-serve bench-sim bench-wal bench-obs bench-cluster serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke verify-golden update-golden figures ci
+.PHONY: all build fmt-check vet test race stackbench-test fuzz-smoke bench bench-smoke bench-serve bench-sim bench-wal bench-obs bench-cluster serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke verify-golden update-golden figures ci
 
 # Committed ScenarioSpec files driven by spec-smoke: one per channel kind
 # (gaussian, gilbert-elliott, shifting) plus the primary-user wrapper.
@@ -43,6 +43,13 @@ race:
 # serial replay digest.
 stackbench-test:
 	cd stackbench && $(GO) vet ./... && $(GO) test ./...
+
+# Thirty seconds of native fuzzing of the decider against its from-scratch
+# oracle (FuzzDeciderMatchesReference); `make test` only replays the
+# committed corpus. A diverging input is written under
+# internal/protocol/testdata/fuzz and fails the target.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDeciderMatchesReference$$' -fuzztime 30s ./internal/protocol
 
 # Full benchmark suite (slow; regenerates every figure several times).
 bench:
@@ -250,4 +257,4 @@ update-golden:
 figures:
 	$(GO) run ./cmd/figgen -exp all -v
 
-ci: build fmt-check vet race stackbench-test bench-smoke serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke dist-smoke verify-golden
+ci: build fmt-check vet race stackbench-test fuzz-smoke bench-smoke serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke dist-smoke verify-golden

@@ -327,7 +327,11 @@ func NewDecisionRecorder(decisions int) *DecisionRecorder {
 // (Algorithm 3), including communication statistics.
 type DecisionResult = protocol.Result
 
-// DecisionStats aggregates the per-decision communication accounting.
+// DecisionStats aggregates the per-decision communication accounting. Its
+// per-vertex relay counts are the MessagesPerVertex method, which derives
+// them from the decision's recorded broadcasts on every call and returns a
+// fresh slice; it was a field until the decision stopped counting relays
+// while deciding.
 type DecisionStats = protocol.Stats
 
 // DecisionPlaneStats is the incremental decision plane's cumulative

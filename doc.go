@@ -91,11 +91,16 @@
 //
 // Strategy decisions run on a stateful, incremental pipeline that exploits
 // what is static between update boundaries. The protocol Runtime holds the
-// immutable topology precomputation — r-hop, (2r+1)-hop and (3r+2)-hop ball
-// vertex lists plus per-vertex adjacency bitsets — built once per extended
-// graph and shared by every consumer. Each slot kernel owns a persistent
-// protocol Decider layered on top:
+// immutable topology precomputation — the r-hop, (2r+1)-hop and (3r+2)-hop
+// balls and the adjacency of every vertex, each as one bitset row per
+// vertex — built once per extended graph and shared by every consumer.
+// Each slot kernel owns a persistent protocol Decider layered on top:
 //
+//   - a rank order of the vertices (weight descending, ties toward the
+//     lower id) kept across boundaries, where only the vertices whose
+//     weight moved are re-sorted and merged back in; each mini-round
+//     elects its leaders in one walk down that order, ORing ball rows into
+//     a running union;
 //   - scratch and induced-subgraph arenas reused across boundaries, so a
 //     full decision allocates only its published Result; instances sharing
 //     one artifact projection in the serving runtime additionally share a

@@ -2,6 +2,7 @@ package mwis
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -16,14 +17,35 @@ type workspaceSolver interface {
 	SolveWorkspace(in Instance, ws *Workspace) ([]int, error)
 }
 
+// tieRegimes names the exact-tie weight regimes the solver equality suites
+// run next to continuous weights.
+var tieRegimes = []string{"all 2.0", "quarter steps", "zeros and halves"}
+
+// tieWeight draws one weight of tie regime regime: 2.0 (every arm at the
+// unseen-arm index), k/4 for k in 0..8, or 0 and 0.5 in equal parts. Near
+// ties within an ulp are left to TestRankSearchMatchesReference: there the
+// reference Hybrid body is documented to diverge
+// (TestHybridKeepsExhaustiveSetOnRoundingTie).
+func tieWeight(regime int, src *rng.Source) float64 {
+	switch regime {
+	case 0:
+		return 2.0
+	case 1:
+		return float64(src.Intn(9)) / 4
+	default:
+		return float64(src.Intn(2)) / 2
+	}
+}
+
 // TestSolveWorkspaceMatchesSolve is the workspace path's bit-identity
 // guard: for every solver, SolveWorkspace on a shared reused workspace and
 // the pooled Solve must return exactly what the reference returns — same
 // set, same error class — across random instances of varying size and
-// density, including budgeted exact searches that exhaust their budget. The
-// references are the allocating Greedy and Hybrid bodies (reference_test.go);
-// Exact has only its workspace body, which TestRankSearchMatchesReference
-// pins, so its pooled Solve is its reference here.
+// density, including budgeted exact searches that exhaust their budget,
+// under continuous weights and under each exact-tie regime. The references
+// are the allocating Greedy and Hybrid bodies (reference_test.go); Exact
+// has only its workspace body, which TestRankSearchMatchesReference pins,
+// so its pooled Solve is its reference here.
 func TestSolveWorkspaceMatchesSolve(t *testing.T) {
 	hybrid := func(h Hybrid) func(Instance) ([]int, error) {
 		return func(in Instance) ([]int, error) { return referenceHybridSolve(h, in) }
@@ -40,10 +62,7 @@ func TestSolveWorkspaceMatchesSolve(t *testing.T) {
 		{Hybrid{MaxExactNodes: 10}, hybrid(Hybrid{MaxExactNodes: 10})}, // forces the greedy-only branch
 	}
 	var ws Workspace
-	for seed := int64(0); seed < 60; seed++ {
-		src := rng.New(seed)
-		n := 4 + src.Intn(24)
-		in := randomInstance(n, 0.1+0.3*src.Float64(), src)
+	check := func(desc string, in Instance) {
 		for _, c := range solvers {
 			s := c.s
 			want, wantErr := c.ref(in)
@@ -56,12 +75,28 @@ func TestSolveWorkspaceMatchesSolve(t *testing.T) {
 			}{{"workspace", got, gotErr}, {"solve", pooled, pooledErr}} {
 				if (wantErr == nil) != (r.err == nil) ||
 					errors.Is(wantErr, ErrBudgetExceeded) != errors.Is(r.err, ErrBudgetExceeded) {
-					t.Fatalf("seed %d %s: error %v (%s) vs %v (reference)", seed, s.Name(), r.err, r.path, wantErr)
+					t.Fatalf("%s %s: error %v (%s) vs %v (reference)", desc, s.Name(), r.err, r.path, wantErr)
 				}
 				if !equalIntSlices(r.set, want) {
-					t.Fatalf("seed %d %s: %v (%s) vs %v (reference)", seed, s.Name(), r.set, r.path, want)
+					t.Fatalf("%s %s: %v (%s) vs %v (reference)", desc, s.Name(), r.set, r.path, want)
 				}
 			}
+		}
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		src := rng.New(seed)
+		n := 4 + src.Intn(24)
+		check(fmt.Sprintf("seed %d", seed), randomInstance(n, 0.1+0.3*src.Float64(), src))
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		for regime, name := range tieRegimes {
+			src := rng.New(seed + 1000)
+			n := 4 + src.Intn(24)
+			in := randomInstance(n, 0.1+0.3*src.Float64(), src)
+			for i := range in.W {
+				in.W[i] = tieWeight(regime, src)
+			}
+			check(fmt.Sprintf("seed %d %s", seed, name), in)
 		}
 	}
 }
@@ -113,7 +148,8 @@ func TestSolveWorkspaceNoAllocs(t *testing.T) {
 // return exactly what the allocating Hybrid body (referenceHybridSolve)
 // returns per vector — including budgeted
 // searches that fall back to the greedy heuristic and oversize instances
-// that skip the exact search entirely.
+// that skip the exact search entirely — under continuous weights and
+// under each exact-tie regime, whose drifts redraw from the regime.
 func TestSolvePreparedMatchesSolve(t *testing.T) {
 	hybrids := []Hybrid{
 		{},
@@ -122,26 +158,42 @@ func TestSolvePreparedMatchesSolve(t *testing.T) {
 	}
 	var ws Workspace
 	var pre Prepared
-	for seed := int64(0); seed < 30; seed++ {
-		src := rng.New(seed + 500)
-		n := 4 + src.Intn(24)
-		in := randomInstance(n, 0.1+0.3*src.Float64(), src)
+	// run solves one prepared graph under four weight vectors, each drifted
+	// from the last by draw.
+	run := func(desc string, in Instance, src *rng.Source, draw func() float64) {
 		pre.Prepare(in.G, &ws)
 		for rounds := 0; rounds < 4; rounds++ {
 			for _, h := range hybrids {
 				want, wantErr := referenceHybridSolve(h, in)
 				got, gotErr := h.SolvePrepared(&pre, in.W, &ws)
 				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("seed %d: error %v (prepared) vs %v (reference)", seed, gotErr, wantErr)
+					t.Fatalf("%s: error %v (prepared) vs %v (reference)", desc, gotErr, wantErr)
 				}
 				if !equalIntSlices(got, want) {
-					t.Fatalf("seed %d: %v (prepared) vs %v (reference)", seed, got, want)
+					t.Fatalf("%s: %v (prepared) vs %v (reference)", desc, got, want)
 				}
 			}
 			// Drift the weights and re-solve on the same preparation.
 			for j := 0; j < 1+src.Intn(3); j++ {
-				in.W[src.Intn(n)] = src.Float64()
+				in.W[src.Intn(len(in.W))] = draw()
 			}
+		}
+	}
+	for seed := int64(0); seed < 30; seed++ {
+		src := rng.New(seed + 500)
+		n := 4 + src.Intn(24)
+		run(fmt.Sprintf("seed %d", seed), randomInstance(n, 0.1+0.3*src.Float64(), src), src, src.Float64)
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		for regime, name := range tieRegimes {
+			src := rng.New(seed + 2000)
+			n := 4 + src.Intn(24)
+			in := randomInstance(n, 0.1+0.3*src.Float64(), src)
+			draw := func() float64 { return tieWeight(regime, src) }
+			for i := range in.W {
+				in.W[i] = draw()
+			}
+			run(fmt.Sprintf("seed %d %s", seed, name), in, src, draw)
 		}
 	}
 }

@@ -4,7 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -90,11 +91,13 @@ func (s DecideStats) Sub(prev DecideStats) DecideStats {
 // DecideTrace is the per-boundary decision-path record a Decider fills for
 // its attached tracer: which path served the boundary and where the wall
 // time went. The phase nanoseconds partition a full decide — BroadcastNS
-// (decide setup: the epoch-cache check, result allocation, and the
-// weight-broadcast accounting), ElectionNS (leader election across
-// mini-rounds), LocalMWISNS (local solves including per-leader cache lookups
-// and winner/loser application), FinalizeNS (winner collection, independence
-// verification, strategy construction, and the epoch-cache update) — and
+// (decide setup: the epoch-cache check, result allocation, the WB step's
+// sender count and the weight validation; relays are not walked, since
+// MessagesPerVertex derives them when read), ElectionNS (keeping the rank
+// order, then leader election across mini-rounds), LocalMWISNS (local
+// solves including per-leader cache lookups and winner/loser application),
+// FinalizeNS (winner collection, independence verification, strategy
+// construction, the broadcast record, and the epoch-cache update) — and
 // are all zero on an epoch skip. The windows are contiguous from the
 // decide's start, so their sum accounts for all of TotalNS except the
 // trace bookkeeping itself. Timing is wall-clock observation only:
@@ -150,35 +153,55 @@ type memoEntry struct {
 // MWIS workspace, the induced-subgraph arena, and every per-vertex buffer.
 // It carries no decision history — everything in it is (re)written before
 // use — so any decider over the same runtime can borrow any scratch.
-// Invariant: inIS is all-false between decides (localDecision clears the
-// bits it sets).
+// The vertex statuses live in two bitsets, cand (the Candidates) and won
+// (the Winners); a vertex in neither is a LocalLeader or a Loser.
+// Invariants between decides: inIS is all-false (localDecision clears the
+// bits it sets) and leaderBits all-zero (selectLeaders clears the bits it
+// reads out).
 type decideScratch struct {
 	ws         mwis.Workspace
 	arena      graph.SubgraphArena
-	status     []Status
+	moved      []int // rankOrder's merge buffer
 	leaders    []int
+	declared   []int // every leader of the decide, in declaration order
 	ar         []int
 	w          []float64
 	inIS       []bool
-	winnerBits []uint64
+	cand       []uint64
+	won        []uint64
+	union      []uint64 // selectLeaders' running union of (2r+1)-balls
+	leaderBits []uint64
 }
 
-// size grows the per-vertex buffers to n vertices and words adjacency words,
-// reusing capacity. Fresh inIS storage is zero, preserving the all-false
-// invariant.
+// size grows the per-vertex buffers to n vertices (moved to capacity n, as
+// a decide with no previous Result moves every vertex) and the bitsets to
+// words words, reusing capacity. Fresh inIS and leaderBits storage is
+// zero, preserving their invariants.
 func (sc *decideScratch) size(n, words int) {
-	if cap(sc.status) < n {
-		sc.status = make([]Status, n)
-	}
-	sc.status = sc.status[:n]
 	if cap(sc.inIS) < n {
 		sc.inIS = make([]bool, n)
 	}
 	sc.inIS = sc.inIS[:n]
-	if cap(sc.winnerBits) < words {
-		sc.winnerBits = make([]uint64, words)
+	if cap(sc.moved) < n {
+		sc.moved = make([]int, 0, n)
 	}
-	sc.winnerBits = sc.winnerBits[:words]
+	for _, b := range []*[]uint64{&sc.cand, &sc.won, &sc.union, &sc.leaderBits} {
+		if cap(*b) < words {
+			*b = make([]uint64, words)
+		}
+		*b = (*b)[:words]
+	}
+}
+
+// startCandidates makes all n vertices Candidates and none a Winner.
+func (sc *decideScratch) startCandidates(n int) {
+	for i := range sc.cand {
+		sc.cand[i] = ^uint64(0)
+	}
+	if n%64 != 0 {
+		sc.cand[len(sc.cand)-1] = 1<<(n%64) - 1
+	}
+	clear(sc.won)
 }
 
 // DecideArena is a shared pool of decide scratch state for instances that
@@ -209,7 +232,7 @@ func (a *DecideArena) put(sc *decideScratch) { a.pool.Put(sc) }
 // queueing and every hosted instance decide through it. It keeps
 // per-consumer state alive across decisions:
 //
-//   - scratch buffers (statuses, leader lists, candidate sets) and a
+//   - scratch buffers (status bitsets, leader lists, candidate sets) and a
 //     graph.SubgraphArena + mwis.Workspace, so a steady-state full decision
 //     allocates only its published Result (optionally borrowed per decide
 //     from a shared DecideArena);
@@ -223,6 +246,11 @@ func (a *DecideArena) put(sc *decideScratch) { a.pool.Put(sc) }
 //     candidate weights are untouched since the anchor solve (leader skip),
 //     or drifted within the anchor's comparison-slack certificate
 //     (sensitivity skip), and replays the cached split in either case.
+//
+// It also keeps every vertex in rank order across decisions (weight
+// descending, ties toward the lower id), re-sorting only the vertices whose
+// weight moved, so each mini-round elects its leaders by one walk over the
+// candidates and their ball bitsets.
 //
 // All layers are exact — same inputs produce bit-identical Results, Stats
 // included, to a from-scratch decision on any trajectory (the tests keep
@@ -252,6 +280,10 @@ type Decider struct {
 	lastPrev []int
 	lastRes  *Result
 
+	// order holds every vertex in rank order under lastW; it is valid
+	// while lastRes is non-nil and rebuilt from scratch otherwise.
+	order []int
+
 	stats DecideStats
 
 	// tracer, when non-nil, receives a DecideTrace after every decide. The
@@ -275,8 +307,9 @@ func (rt *Runtime) NewDecider() *Decider {
 		rt:          rt,
 		memo:        make([]memoEntry, n),
 		lastChanged: make([]int64, n),
+		order:       make([]int, n),
 	}
-	d.scratch.size(n, rt.adjWords)
+	d.scratch.size(n, rt.words)
 	if hyb, ok := rt.solver.(mwis.Hybrid); ok {
 		d.hyb = hyb
 		d.hasHyb = true
@@ -415,13 +448,12 @@ func (d *Decider) decide(weights []float64, prevPlayed []int, weightsUnchanged b
 // leader splits contribute current weights, never cached ones.
 func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) (*Result, error) {
 	rt := d.rt
-	h := rt.ext.H
-	n := h.N()
+	n := rt.ext.H.N()
 	sc := &d.scratch
 	if d.shared != nil {
 		sc = d.shared.get()
 		defer d.shared.put(sc)
-		sc.size(n, rt.adjWords)
+		sc.size(n, rt.words)
 	}
 	traced := d.tracer != nil
 	var phaseStart time.Time
@@ -432,22 +464,25 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 		// epoch-cache comparison and result allocation are accounted for.
 		phaseStart = t0
 	}
-	res := &Result{
-		Stats: Stats{MessagesPerVertex: make([]int, n)},
-	}
+	res := &Result{}
 
-	// Weight broadcast (WB).
+	// Weight broadcast (WB). Only the senders are recorded: the relays
+	// they cost are derived from the record when MessagesPerVertex is read.
 	for _, v := range prevPlayed {
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("protocol: played vertex %d out of range [0,%d)", v, n)
 		}
-		res.Stats.WeightBroadcasts++
-		for _, u := range rt.ball2R1[v] {
-			res.Stats.MessagesPerVertex[u]++
-		}
 	}
+	res.Stats.WeightBroadcasts = len(prevPlayed)
 	width := 2*rt.r + 1
 	res.Stats.MiniTimeslots += width * width
+	// The rank order needs a total order on the weights, and NaN compares
+	// false both ways.
+	for v, x := range weights {
+		if math.IsNaN(x) {
+			return nil, fmt.Errorf("protocol: weight of vertex %d is NaN", v)
+		}
+	}
 	if traced {
 		now := time.Now()
 		d.trace.BroadcastNS = now.Sub(phaseStart).Nanoseconds()
@@ -455,18 +490,19 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 	}
 
 	// Mini-round loop (Algorithm 3).
-	status := sc.status[:n]
-	for i := range status {
-		status[i] = Candidate
-	}
+	d.rankOrder(sc, weights)
+	sc.startCandidates(n)
+	cand, won := sc.cand, sc.won
 	candidates := n
+	winnerCount := 0
 	totalWinnerWeight := 0.0
+	sc.declared = sc.declared[:0]
 	maxRounds := rt.d
 	if maxRounds == 0 {
 		maxRounds = n
 	}
 	for tau := 0; tau < maxRounds && candidates > 0; tau++ {
-		leaders := d.selectLeaders(sc, weights, status)
+		leaders := d.selectLeaders(sc, candidates)
 		if len(leaders) == 0 {
 			if traced {
 				now := time.Now()
@@ -476,43 +512,38 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 			break
 		}
 		for _, v := range leaders {
-			status[v] = LocalLeader
-			res.Stats.LeaderDeclarations++
-			for _, u := range rt.ball2R1[v] {
-				res.Stats.MessagesPerVertex[u]++
-			}
+			cand[v/64] &^= 1 << (uint(v) % 64)
 		}
+		res.Stats.LeaderDeclarations += len(leaders)
+		sc.declared = append(sc.declared, leaders...)
 		if traced {
 			now := time.Now()
 			d.trace.ElectionNS += now.Sub(phaseStart).Nanoseconds()
 			phaseStart = now
 		}
 		for _, v := range leaders {
-			winners, losers, err := d.localDecision(sc, v, weights, status)
+			winners, losers, err := d.localDecision(sc, v, weights)
 			if err != nil {
 				return nil, err
 			}
 			for _, u := range winners {
-				status[u] = Winner
+				cand[u/64] &^= 1 << (uint(u) % 64)
+				won[u/64] |= 1 << (uint(u) % 64)
 				totalWinnerWeight += weights[u]
-				candidates--
 			}
 			for _, u := range losers {
-				status[u] = Loser
-				candidates--
+				cand[u/64] &^= 1 << (uint(u) % 64)
 			}
+			winnerCount += len(winners)
+			candidates -= len(winners) + len(losers)
+			// Every Candidate neighbor of a fresh Winner becomes a Loser.
 			for _, u := range winners {
-				for _, x := range h.Neighbors(u) {
-					if status[x] == Candidate {
-						status[x] = Loser
-						candidates--
-					}
+				for wi, word := range rt.adjBits[u] {
+					candidates -= bits.OnesCount64(cand[wi] & word)
+					cand[wi] &^= word
 				}
 			}
 			res.Stats.LocalBroadcasts++
-			for _, u := range rt.ballLB[v] {
-				res.Stats.MessagesPerVertex[u]++
-			}
 		}
 		res.MiniRounds++
 		res.Stats.MiniTimeslots += (2*rt.r + 1) + (3*rt.r + 2)
@@ -526,13 +557,16 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 	}
 	res.Converged = candidates == 0
 
-	for v, st := range status {
-		if st == Winner {
-			res.Winners = append(res.Winners, v)
+	// Winners are collected in ascending id.
+	if winnerCount > 0 {
+		res.Winners = make([]int, 0, winnerCount)
+		for wi, word := range won {
+			for ; word != 0; word &= word - 1 {
+				res.Winners = append(res.Winners, wi*64+bits.TrailingZeros64(word))
+			}
 		}
 	}
-	sort.Ints(res.Winners)
-	if !d.winnersIndependent(sc, res.Winners) {
+	if !d.winnersIndependent(won, res.Winners) {
 		return nil, errors.New("protocol: internal error: winners are not independent")
 	}
 	strategy, err := rt.ext.StrategyFromVertices(res.Winners)
@@ -540,6 +574,11 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 		return nil, fmt.Errorf("protocol: winners to strategy: %w", err)
 	}
 	res.Strategy = strategy
+	p := len(prevPlayed)
+	sent := make([]int, p+len(sc.declared))
+	copy(sent, prevPlayed)
+	copy(sent[p:], sc.declared)
+	res.Stats.sent = broadcasts{rt: rt, played: sent[:p:p], leaders: sent[p:]}
 	if traced {
 		// Leave the finalize window open: decide closes it after the
 		// stats accumulation below and its epoch-cache update.
@@ -555,31 +594,93 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 	return res, nil
 }
 
-// selectLeaders returns the Candidates whose (weight, -id) is lexicographic
-// maximum among all Candidates within their (2r+1)-hop neighborhood. The
-// strict id tie-break guarantees no two leaders are within 2r+1 hops even
-// under equal weights, which keeps the leaders' r-balls disjoint and the
-// union of their local MWIS results independent. The returned slice is the
-// scratch leader buffer: it is only valid until the next call.
-func (d *Decider) selectLeaders(sc *decideScratch, weights []float64, status []Status) []int {
-	leaders := sc.leaders[:0]
-	for v, st := range status {
-		if st != Candidate {
-			continue
+// rankOrder brings d.order to the rank order of weights: weight descending,
+// ties toward the lower id, compared as float values (so −0 ties +0) —
+// exactly selectLeaders' comparison. With a previous Result the order holds
+// under lastW, and the vertices whose weight still equals lastW keep their
+// relative order, so only the others are re-sorted and merged back in.
+// Without one (the first decide, or after a failed one) every vertex is
+// re-sorted.
+func (d *Decider) rankOrder(sc *decideScratch, weights []float64) {
+	moved, kept := sc.moved[:0], d.order[:0]
+	if d.lastRes == nil {
+		for v := range weights {
+			moved = append(moved, v)
 		}
-		isLeader := true
-		for _, u := range d.rt.ball2R1[v] {
-			if u == v || status[u] != Candidate {
+	} else {
+		for _, v := range d.order {
+			if weights[v] != d.lastW[v] {
+				moved = append(moved, v)
+			} else {
+				kept = append(kept, v)
+			}
+		}
+	}
+	slices.SortFunc(moved, func(a, b int) int {
+		if wa, wb := weights[a], weights[b]; wa != wb {
+			if wa > wb {
+				return -1
+			}
+			return 1
+		}
+		return a - b
+	})
+	// Merge from the back: kept is compacted to the front of d.order, so
+	// every slot written lies past the kept entries still to be read.
+	i, j := len(kept)-1, len(moved)-1
+	for k := len(d.order) - 1; j >= 0; k-- {
+		v := moved[j]
+		if i >= 0 {
+			if u := kept[i]; weights[v] > weights[u] || (weights[v] == weights[u] && v < u) {
+				d.order[k] = u
+				i--
 				continue
 			}
-			if weights[u] > weights[v] || (weights[u] == weights[v] && u < v) {
-				isLeader = false
-				break
-			}
 		}
-		if isLeader {
-			leaders = append(leaders, v)
+		d.order[k] = v
+		j--
+	}
+	sc.moved = moved
+}
+
+// selectLeaders returns, in ascending id, the Candidates whose (weight, -id)
+// is lexicographic maximum among all Candidates within their (2r+1)-hop
+// neighborhood. It walks the Candidates in rank order and ORs each one's
+// (2r+1)-ball row into a running union: a Candidate leads iff its own bit
+// is still clear when it is reached, and since hop balls are symmetric
+// that bit is set exactly when a higher-ranked Candidate lies within 2r+1
+// hops. The walk stops once the union covers every Candidate, as no later
+// one can lead. The strict id tie-break guarantees no two leaders are
+// within 2r+1 hops even under equal weights, which keeps the leaders'
+// r-balls disjoint and the union of their local MWIS results independent.
+// The returned slice is the scratch leader buffer: it is only valid until
+// the next call.
+func (d *Decider) selectLeaders(sc *decideScratch, candidates int) []int {
+	cand, union, leaderBits := sc.cand, sc.union, sc.leaderBits
+	clear(union)
+	uncovered := candidates
+	for _, v := range d.order {
+		if uncovered == 0 {
+			break
 		}
+		bit := uint64(1) << (uint(v) % 64)
+		if cand[v/64]&bit == 0 {
+			continue
+		}
+		if union[v/64]&bit == 0 {
+			leaderBits[v/64] |= bit
+		}
+		for wi, word := range d.rt.ball2R1[v] {
+			uncovered -= bits.OnesCount64(word &^ union[wi] & cand[wi])
+			union[wi] |= word
+		}
+	}
+	leaders := sc.leaders[:0]
+	for wi, word := range leaderBits {
+		for ; word != 0; word &= word - 1 {
+			leaders = append(leaders, wi*64+bits.TrailingZeros64(word))
+		}
+		leaderBits[wi] = 0
 	}
 	sc.leaders = leaders
 	return leaders
@@ -593,11 +694,16 @@ func (d *Decider) selectLeaders(sc *decideScratch, weights []float64, status []S
 // certificate. Otherwise it resolves — over the cached subgraph preparation
 // when the candidate set matches (hybrid solver), from scratch when not —
 // and re-anchors the entry at the current epoch.
-func (d *Decider) localDecision(sc *decideScratch, v int, weights []float64, status []Status) (winners, losers []int, err error) {
+func (d *Decider) localDecision(sc *decideScratch, v int, weights []float64) (winners, losers []int, err error) {
+	// A_r(v): the Candidates of v's r-ball, and v itself.
 	ar := sc.ar[:0]
-	for _, u := range d.rt.ballR[v] {
-		if status[u] == Candidate || u == v {
-			ar = append(ar, u)
+	for wi, word := range d.rt.ballR[v] {
+		word &= sc.cand[wi]
+		if wi == v/64 {
+			word |= 1 << (uint(v) % 64)
+		}
+		for ; word != 0; word &= word - 1 {
+			ar = append(ar, wi*64+bits.TrailingZeros64(word))
 		}
 	}
 	sc.ar = ar
@@ -639,8 +745,8 @@ func (d *Decider) localDecision(sc *decideScratch, v int, weights []float64, sta
 	structMatch := e.preValid && candMatch
 
 	// Gather the candidate weights (vertex i of the local instance is
-	// ar[i]: ar is ascending — ballR is sorted — which is exactly the
-	// vertex order Induced produces).
+	// ar[i]: ar is ascending — read off the ball row in bit order — which
+	// is exactly the vertex order Induced produces).
 	w := sc.w[:0]
 	for _, u := range ar {
 		w = append(w, weights[u])
@@ -701,28 +807,17 @@ func (d *Decider) localDecision(sc *decideScratch, v int, weights []float64, sta
 }
 
 // winnersIndependent verifies the output set against the runtime's
-// adjacency bitsets: a vertex joins only if none of its neighbors is
-// already in, which over all pairs is exactly graph.IsIndependent.
-func (d *Decider) winnersIndependent(sc *decideScratch, winners []int) bool {
-	bits := sc.winnerBits
-	for i := range bits {
-		bits[i] = 0
-	}
-	ok := true
+// adjacency bitsets: no winner may have a neighbor in won, the winners'
+// bitset, which over all pairs is exactly graph.IsIndependent.
+func (d *Decider) winnersIndependent(won []uint64, winners []int) bool {
 	for _, v := range winners {
-		row := d.rt.adjBits[v]
-		for wi, word := range row {
-			if bits[wi]&word != 0 {
-				ok = false
-				break
+		for wi, word := range d.rt.adjBits[v] {
+			if won[wi]&word != 0 {
+				return false
 			}
 		}
-		if !ok {
-			break
-		}
-		bits[v/64] |= 1 << (uint(v) % 64)
 	}
-	return ok
+	return true
 }
 
 func equalInts(a, b []int) bool {

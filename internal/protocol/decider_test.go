@@ -2,7 +2,9 @@ package protocol
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"multihopbandit/internal/changeset"
@@ -12,15 +14,26 @@ import (
 	"multihopbandit/internal/topology"
 )
 
+// matchesReference reports whether got equals the oracle's Result in every
+// field, with its MessagesPerVertex() equal to the oracle's per-vertex
+// counts. The broadcast record those counts are derived from is the one
+// field the oracle does not fill; the counts stand in for it.
+func matchesReference(want *Result, wantMessages []int, got *Result) bool {
+	bare := *got
+	bare.Stats.sent = broadcasts{}
+	return reflect.DeepEqual(want, &bare) && reflect.DeepEqual(wantMessages, got.Stats.MessagesPerVertex())
+}
+
 // decideSequence drives one Decider and the from-scratch reference through
 // an identical sequence of decisions and asserts every Result is deeply
 // equal (winners, strategy, convergence, per-mini-round series, and the
-// full communication Stats).
+// full communication Stats, per-vertex message counts included).
 func decideSequence(t *testing.T, rt *Runtime, dec *Decider, weightSeq [][]float64) {
 	t.Helper()
+	ref := newReferenceRuntime(rt)
 	var prevRef, prevInc []int
 	for i, w := range weightSeq {
-		want, err := referenceDecide(rt, w, prevRef)
+		want, wantMessages, err := referenceDecide(ref, w, prevRef)
 		if err != nil {
 			t.Fatalf("decision %d: reference: %v", i, err)
 		}
@@ -28,8 +41,9 @@ func decideSequence(t *testing.T, rt *Runtime, dec *Decider, weightSeq [][]float
 		if err != nil {
 			t.Fatalf("decision %d: incremental: %v", i, err)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("decision %d: incremental result diverged:\n got %+v\nwant %+v", i, got, want)
+		if !matchesReference(want, wantMessages, got) {
+			t.Fatalf("decision %d: incremental result diverged:\n got %+v %v\nwant %+v %v",
+				i, got, got.Stats.MessagesPerVertex(), want, wantMessages)
 		}
 		prevRef = want.Winners
 		prevInc = got.Winners
@@ -106,15 +120,35 @@ func TestDeciderMatchesReferenceRandomized(t *testing.T) {
 // paper's Fig. 6 sizes, where leader balls hold hundreds of vertices and
 // the mini-round cap truncates the decision: random networks of target
 // degree 6 at 100×5 (D=4 and D=0), 200×10 (D=4) and 100×10 (D=0), r=2,
-// seeds 1–3. For each, a fresh Decider must deep-equal the oracle, Stats
-// included, on a first decision (prevPlayed nil) and on a second that
-// rebroadcasts the first's winners. Every D=4 case stops after 4
-// mini-rounds with candidates left; every D=0 case converges.
+// seeds 1–3. For each, one Decider held across a four-step trajectory must
+// deep-equal the oracle at every step, Stats and per-vertex message counts
+// included: a first decision (prevPlayed nil), a second that rebroadcasts
+// the first's winners under the same weights, then two that each move
+// about one weight in six. Three weight regimes run on every case:
+//
+//   - drift: continuous draws, each moved weight going to 0.9w + 0.1u;
+//   - tied: every weight 2.0 (zhou-li's warm-up, where only the rank
+//     order's id tie-break separates vertices), moved weights going to
+//     quarter steps;
+//   - quarter: k/4 for k in 0..8, moved weights redrawn the same way, so
+//     the rank order's merge runs among exact ties.
+//
+// Under drift, every D=4 case stops after 4 mini-rounds with candidates
+// left, and every D=0 case converges.
 func TestDeciderMatchesReferenceFig6Scale(t *testing.T) {
+	quarter := func(src *rng.Source) float64 { return float64(src.Intn(9)) / 4 }
+	regimes := []struct {
+		name string
+		init func(src *rng.Source) float64
+		move func(w float64, src *rng.Source) float64
+	}{
+		{"drift", (*rng.Source).Float64, func(w float64, src *rng.Source) float64 { return 0.9*w + 0.1*src.Float64() }},
+		{"tied", func(*rng.Source) float64 { return 2.0 }, func(_ float64, src *rng.Source) float64 { return quarter(src) }},
+		{"quarter", quarter, func(_ float64, src *rng.Source) float64 { return quarter(src) }},
+	}
 	cases := []struct{ n, m, d int }{{100, 5, 4}, {100, 5, 0}, {200, 10, 4}, {100, 10, 0}}
 	for _, c := range cases {
 		for seed := int64(1); seed <= 3; seed++ {
-			desc := fmt.Sprintf("%dx%d D=%d seed %d", c.n, c.m, c.d, seed)
 			nw, err := topology.Random(topology.RandomConfig{N: c.n, TargetDegree: 6}, rng.New(seed))
 			if err != nil {
 				t.Fatal(err)
@@ -127,25 +161,42 @@ func TestDeciderMatchesReferenceFig6Scale(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w := randomWeights(ext.K(), seed)
-			dec := rt.NewDecider()
-			var prev []int
-			for step := 0; step < 2; step++ {
-				want, err := referenceDecide(rt, w, prev)
-				if err != nil {
-					t.Fatalf("%s step %d: reference: %v", desc, step, err)
+			ref := newReferenceRuntime(rt)
+			for _, reg := range regimes {
+				desc := fmt.Sprintf("%dx%d D=%d seed %d %s", c.n, c.m, c.d, seed, reg.name)
+				src := rng.New(seed)
+				w := make([]float64, ext.K())
+				for i := range w {
+					w[i] = reg.init(src)
 				}
-				got, err := dec.Decide(w, prev)
-				if err != nil {
-					t.Fatalf("%s step %d: decider: %v", desc, step, err)
+				dec := rt.NewDecider()
+				var prev []int
+				for step := 0; step < 4; step++ {
+					if step >= 2 {
+						w = append([]float64(nil), w...)
+						for i := range w {
+							if src.Intn(6) == 0 {
+								w[i] = reg.move(w[i], src)
+							}
+						}
+					}
+					want, wantMessages, err := referenceDecide(ref, w, prev)
+					if err != nil {
+						t.Fatalf("%s step %d: reference: %v", desc, step, err)
+					}
+					got, err := dec.Decide(w, prev)
+					if err != nil {
+						t.Fatalf("%s step %d: decider: %v", desc, step, err)
+					}
+					if !matchesReference(want, wantMessages, got) {
+						t.Fatalf("%s step %d: decider diverged from the reference:\n got %+v\nwant %+v", desc, step, got, want)
+					}
+					if truncated := c.d > 0; reg.name == "drift" &&
+						(got.Converged == truncated || (truncated && got.MiniRounds != c.d)) {
+						t.Fatalf("%s step %d: converged %v after %d mini-rounds", desc, step, got.Converged, got.MiniRounds)
+					}
+					prev = got.Winners
 				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s step %d: decider diverged from the reference:\n got %+v\nwant %+v", desc, step, got, want)
-				}
-				if truncated := c.d > 0; got.Converged == truncated || (truncated && got.MiniRounds != c.d) {
-					t.Fatalf("%s step %d: converged %v after %d mini-rounds", desc, step, got.Converged, got.MiniRounds)
-				}
-				prev = got.Winners
 			}
 		}
 	}
@@ -195,6 +246,7 @@ func FuzzDeciderMatchesReference(f *testing.F) {
 		k := ext.K()
 		w := make([]float64, k)
 		dec := rt.NewDecider()
+		ref := newReferenceRuntime(rt)
 		var prevRef, prevDec []int
 		for i, b := range steps {
 			next := append([]float64(nil), w...)
@@ -219,7 +271,7 @@ func FuzzDeciderMatchesReference(f *testing.F) {
 				}
 			}
 			w = next
-			want, err := referenceDecide(rt, w, prevRef)
+			want, wantMessages, err := referenceDecide(ref, w, prevRef)
 			if err != nil {
 				t.Fatalf("step %d: reference: %v", i, err)
 			}
@@ -227,7 +279,7 @@ func FuzzDeciderMatchesReference(f *testing.F) {
 			if err != nil {
 				t.Fatalf("step %d: decider: %v", i, err)
 			}
-			if !reflect.DeepEqual(want, got) {
+			if !matchesReference(want, wantMessages, got) {
 				t.Fatalf("step %d (move %d): decider diverged from the reference:\n got %+v\nwant %+v", i, b&3, got, want)
 			}
 			prevRef, prevDec = want.Winners, got.Winners
@@ -346,6 +398,54 @@ func TestDeciderValidation(t *testing.T) {
 	}
 	if _, err := dec.Decide(w, nil); err != nil {
 		t.Fatalf("decider did not recover after validation errors: %v", err)
+	}
+}
+
+// TestDecideRejectsNaNWeights pins the NaN guard: the rank order needs a
+// total order on the weights, so a NaN weight — at the first, a middle or
+// the last vertex, under either solver — fails the decide with an error
+// naming the vertex before any election, where the oracle fails one level
+// down (the never-beaten NaN vertex leads and its local solve rejects it).
+// The failed decide must leave no trace: the next finite decide equals a
+// fresh decider's.
+func TestDecideRejectsNaNWeights(t *testing.T) {
+	ext := buildExt(t, 16, 3, 37)
+	k := ext.K()
+	for _, solver := range []mwis.Solver{nil, mwis.Greedy{}} {
+		rt, err := New(Config{Ext: ext, R: 2, D: 3, Solver: solver})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newReferenceRuntime(rt)
+		dec := rt.NewDecider()
+		first, err := dec.Decide(randomWeights(k, 1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []int{0, k / 2, k - 1} {
+			w := randomWeights(k, int64(v)+2)
+			w[v] = math.NaN()
+			if _, err := dec.Decide(w, first.Winners); err == nil ||
+				!strings.Contains(err.Error(), fmt.Sprintf("vertex %d ", v)) {
+				t.Fatalf("solver %v: NaN at vertex %d: error %v, want one naming the vertex", solver, v, err)
+			}
+			if _, _, err := referenceDecide(ref, w, first.Winners); err == nil {
+				t.Fatalf("solver %v: the oracle accepted a NaN at vertex %d", solver, v)
+			}
+			next := randomWeights(k, int64(v)+3)
+			got, err := dec.Decide(next, first.Winners)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := rt.NewDecider().Decide(next, first.Winners)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("solver %v: decide after a NaN at vertex %d diverged from a fresh decider's:\n got %+v\nwant %+v",
+					solver, v, got, want)
+			}
+		}
 	}
 }
 
@@ -650,6 +750,7 @@ func TestDeciderChangeSetEquivalence(t *testing.T) {
 	}
 	last := make([]float64, k)
 	ch := changeset.New(k)
+	ref := newReferenceRuntime(rt)
 	var prevRef, prevInc []int
 	for step := 0; step < 14; step++ {
 		switch step % 4 {
@@ -674,7 +775,7 @@ func TestDeciderChangeSetEquivalence(t *testing.T) {
 			}
 		}
 		copy(last, w)
-		want, err := referenceDecide(rt, w, prevRef)
+		want, wantMessages, err := referenceDecide(ref, w, prevRef)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -682,7 +783,7 @@ func TestDeciderChangeSetEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want, got) {
+		if !matchesReference(want, wantMessages, got) {
 			t.Fatalf("step %d: change-set decision diverged:\n got %+v\nwant %+v", step, got, want)
 		}
 		prevRef, prevInc = want.Winners, got.Winners

@@ -7,15 +7,16 @@
 // The simulator executes the per-vertex rules lock-step (one mini-round at a
 // time), which matches the paper's globally synchronized time-slotted model
 // and makes every run reproducible. Communication is not physically
-// exchanged; instead every local broadcast is charged to the vertices that
-// would relay it, so the complexity claims of §IV-C (per-vertex messages
-// O(r²+D), mini-timeslots O(r²+D·r)) become measurable quantities.
+// exchanged; instead each decision records who broadcast, and
+// Stats.MessagesPerVertex charges every local broadcast to the vertices
+// that would relay it, so the complexity claims of §IV-C (per-vertex
+// messages O(r²+D), mini-timeslots O(r²+D·r)) become measurable quantities.
 package protocol
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"multihopbandit/internal/extgraph"
 	"multihopbandit/internal/mwis"
@@ -76,16 +77,18 @@ type Runtime struct {
 	r      int
 	d      int
 	solver mwis.Solver
+	words  int // ⌈n/64⌉, the length of every bitset row below
 
-	ballR   [][]int // J_{H,r}(v) per vertex
-	ball2R1 [][]int // J_{H,2r+1}(v) per vertex
-	ballLB  [][]int // J_{H,3r+2}(v) per vertex, the LB broadcast radius
-
-	// adjBits is the per-vertex adjacency of H as bitsets (one shared
-	// arena, words = ⌈n/64⌉ per vertex). Deciders use it for O(n/64)
-	// winner-independence verification instead of pairwise edge queries.
-	adjBits  [][]uint64
-	adjWords int
+	// Per-vertex bitset rows over one arena each, bit u of row v set iff
+	// u belongs to v's set: the adjacency of H, which Deciders use for
+	// O(n/64) winner-independence verification, and the hop balls
+	// J_{H,r}(v), J_{H,2r+1}(v) and J_{H,3r+2}(v) (the LB broadcast
+	// radius). Hop distance is symmetric, so every ball matrix is too: u is
+	// in v's row iff v is in u's.
+	adjBits [][]uint64
+	ballR   [][]uint64
+	ball2R1 [][]uint64
+	ballLB  [][]uint64
 }
 
 // New builds a Runtime and precomputes all hop-neighborhoods.
@@ -109,14 +112,17 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	h := cfg.Ext.H
 	n := h.N()
+	words := (n + 63) / 64
 	rt := &Runtime{
 		ext:     cfg.Ext,
 		r:       r,
 		d:       cfg.D,
 		solver:  solver,
-		ballR:   make([][]int, n),
-		ball2R1: make([][]int, n),
-		ballLB:  make([][]int, n),
+		words:   words,
+		adjBits: bitRows(n, words),
+		ballR:   bitRows(n, words),
+		ball2R1: bitRows(n, words),
+		ballLB:  bitRows(n, words),
 	}
 	// One bounded BFS to 3r+2 per vertex covers all three radii (the LB
 	// radius is 3r+2, one hop past the paper's 3r+1, because the
@@ -128,11 +134,9 @@ func New(cfg Config) (*Runtime, error) {
 		dist[i] = -1
 	}
 	queue := make([]int, 0, n)
-	visited := make([]int, 0, n)
 	for v := 0; v < n; v++ {
 		dist[v] = 0
 		queue = append(queue[:0], v)
-		visited = append(visited[:0], v)
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
 			if dist[u] == 3*r+2 {
@@ -142,36 +146,35 @@ func New(cfg Config) (*Runtime, error) {
 				if dist[w] < 0 {
 					dist[w] = dist[u] + 1
 					queue = append(queue, w)
-					visited = append(visited, w)
 				}
 			}
 		}
-		sort.Ints(visited)
-		for _, u := range visited {
-			d := dist[u]
-			if d <= r {
-				rt.ballR[v] = append(rt.ballR[v], u)
+		for _, u := range queue {
+			bit := uint64(1) << (uint(u) % 64)
+			if dist[u] <= r {
+				rt.ballR[v][u/64] |= bit
 			}
-			if d <= 2*r+1 {
-				rt.ball2R1[v] = append(rt.ball2R1[v], u)
+			if dist[u] <= 2*r+1 {
+				rt.ball2R1[v][u/64] |= bit
 			}
-			rt.ballLB[v] = append(rt.ballLB[v], u)
-		}
-		for _, u := range visited {
+			rt.ballLB[v][u/64] |= bit
 			dist[u] = -1
 		}
-	}
-	rt.adjWords = (n + 63) / 64
-	arena := make([]uint64, n*rt.adjWords)
-	rt.adjBits = make([][]uint64, n)
-	for v := 0; v < n; v++ {
-		row := arena[v*rt.adjWords : (v+1)*rt.adjWords : (v+1)*rt.adjWords]
 		for _, u := range h.Neighbors(v) {
-			row[u/64] |= 1 << (uint(u) % 64)
+			rt.adjBits[v][u/64] |= 1 << (uint(u) % 64)
 		}
-		rt.adjBits[v] = row
 	}
 	return rt, nil
+}
+
+// bitRows returns n zeroed rows of words words each, carved from one arena.
+func bitRows(n, words int) [][]uint64 {
+	arena := make([]uint64, n*words)
+	rows := make([][]uint64, n)
+	for v := range rows {
+		rows[v] = arena[v*words : (v+1)*words : (v+1)*words]
+	}
+	return rows
 }
 
 // R returns the runtime's ball parameter.
@@ -182,9 +185,6 @@ func (rt *Runtime) D() int { return rt.d }
 
 // Stats aggregates the communication accounting of one strategy decision.
 type Stats struct {
-	// MessagesPerVertex counts, per vertex, how many broadcast messages the
-	// vertex relayed during the decision (WB + LS declarations + LB).
-	MessagesPerVertex []int
 	// MiniTimeslots is the paper's time-unit accounting: (2r+1)² for WB
 	// plus (2r+1)+(3r+2) per executed mini-round.
 	MiniTimeslots int
@@ -197,12 +197,56 @@ type Stats struct {
 	// LocalBroadcasts counts determination broadcasts (one per leader per
 	// mini-round).
 	LocalBroadcasts int
+
+	// sent records who originated the decision's broadcasts, from which
+	// MessagesPerVertex derives the per-vertex relay counts when called.
+	sent broadcasts
+}
+
+// broadcasts is one decision's broadcast originators: the WB senders
+// (prevPlayed as given, duplicates kept) and the LocalLeaders of every
+// mini-round, each of which sent one LS declaration and one LB.
+type broadcasts struct {
+	rt      *Runtime
+	played  []int
+	leaders []int
+}
+
+// MessagesPerVertex counts, per vertex, how many broadcast messages the
+// vertex relayed during the decision: one per WB sender and per LS
+// declaration within its (2r+1)-hop ball, and one per LB within its
+// (3r+2)-hop ball. It walks those balls on every call and returns a fresh
+// slice; the decision itself keeps only the originators. It returns nil
+// for Stats that no Decider filled.
+func (s Stats) MessagesPerVertex() []int {
+	rt := s.sent.rt
+	if rt == nil {
+		return nil
+	}
+	counts := make([]int, rt.ext.H.N())
+	for _, v := range s.sent.played {
+		countRow(counts, rt.ball2R1[v])
+	}
+	for _, v := range s.sent.leaders {
+		countRow(counts, rt.ball2R1[v])
+		countRow(counts, rt.ballLB[v])
+	}
+	return counts
+}
+
+// countRow adds one to counts[u] for every bit u set in row.
+func countRow(counts []int, row []uint64) {
+	for wi, word := range row {
+		for ; word != 0; word &= word - 1 {
+			counts[wi*64+bits.TrailingZeros64(word)]++
+		}
+	}
 }
 
 // MaxMessages returns the largest per-vertex relay count.
 func (s Stats) MaxMessages() int {
 	max := 0
-	for _, m := range s.MessagesPerVertex {
+	for _, m := range s.MessagesPerVertex() {
 		if m > max {
 			max = m
 		}

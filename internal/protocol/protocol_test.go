@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math/bits"
 	"reflect"
 	"sync"
 	"testing"
@@ -165,6 +166,15 @@ func TestWeightByMiniRoundMonotone(t *testing.T) {
 	}
 }
 
+// firstRoundLeaders runs a fresh decider's first election under w: every
+// vertex a Candidate, the rank order sorted from scratch.
+func firstRoundLeaders(rt *Runtime, w []float64) []int {
+	dec := rt.NewDecider()
+	dec.rankOrder(&dec.scratch, w)
+	dec.scratch.startCandidates(len(w))
+	return dec.selectLeaders(&dec.scratch, len(w))
+}
+
 func TestLeadersPairwiseSeparated(t *testing.T) {
 	// Leaders of the first mini-round must be at least 2r+2 hops apart.
 	ext := buildExt(t, 40, 3, 5)
@@ -172,13 +182,7 @@ func TestLeadersPairwiseSeparated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := randomWeights(ext.K(), 6)
-	status := make([]Status, ext.K())
-	for i := range status {
-		status[i] = Candidate
-	}
-	dec := rt.NewDecider()
-	leaders := dec.selectLeaders(&dec.scratch, w, status)
+	leaders := firstRoundLeaders(rt, randomWeights(ext.K(), 6))
 	if len(leaders) == 0 {
 		t.Fatal("no leaders selected")
 	}
@@ -202,12 +206,7 @@ func TestGlobalMaxIsAlwaysLeader(t *testing.T) {
 		}
 	}
 	rt, _ := New(Config{Ext: ext, R: 2})
-	status := make([]Status, ext.K())
-	for i := range status {
-		status[i] = Candidate
-	}
-	dec := rt.NewDecider()
-	leaders := dec.selectLeaders(&dec.scratch, w, status)
+	leaders := firstRoundLeaders(rt, w)
 	found := false
 	for _, l := range leaders {
 		if l == best {
@@ -448,19 +447,37 @@ func TestRuntimeWithGreedySolver(t *testing.T) {
 	}
 }
 
+// TestBallPrecomputationMatchesGraph checks every hop-ball bitset row of
+// the Runtime, at all three radii, and the oracle's ball lists against
+// graph.Ball.
 func TestBallPrecomputationMatchesGraph(t *testing.T) {
 	ext := buildExt(t, 15, 2, 19)
 	rt, _ := New(Config{Ext: ext, R: 2})
+	ref := newReferenceRuntime(rt)
 	g := ext.H
-	for v := 0; v < g.N(); v++ {
-		want := g.Ball(v, 2)
-		got := rt.ballR[v]
-		if len(got) != len(want) {
-			t.Fatalf("ballR[%d] size %d, want %d", v, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("ballR[%d] mismatch", v)
+	for _, b := range []struct {
+		name   string
+		radius int
+		rows   [][]uint64
+		lists  [][]int
+	}{
+		{"ballR", 2, rt.ballR, ref.ballR},
+		{"ball2R1", 5, rt.ball2R1, ref.ball2R1},
+		{"ballLB", 8, rt.ballLB, ref.ballLB},
+	} {
+		for v := 0; v < g.N(); v++ {
+			want := g.Ball(v, b.radius)
+			var got []int
+			for wi, word := range b.rows[v] {
+				for ; word != 0; word &= word - 1 {
+					got = append(got, wi*64+bits.TrailingZeros64(word))
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s row %d holds %v, want %v", b.name, v, got, want)
+			}
+			if !reflect.DeepEqual(b.lists[v], want) {
+				t.Fatalf("reference %s[%d] = %v, want %v", b.name, v, b.lists[v], want)
 			}
 		}
 	}
@@ -593,7 +610,7 @@ func TestManyInstancesMessageAccounting(t *testing.T) {
 			if err != nil {
 				return acc, err
 			}
-			for _, m := range res.Stats.MessagesPerVertex {
+			for _, m := range res.Stats.MessagesPerVertex() {
 				acc.messages += m
 			}
 			acc.broadcasts += res.Stats.WeightBroadcasts + res.Stats.LocalBroadcasts

@@ -16,7 +16,79 @@ import (
 // localDecision and their pooled scratch, verbatim except that the three
 // functions were methods on the Runtime and now take it as their first
 // argument, under reference names. Their doc comments lost the pointers to
-// the Decider.
+// the Decider. Two edits followed when the Runtime kept its hop balls as
+// bitsets only and the Decider stopped filling per-vertex message counts:
+// the sorted ball lists the oracle reads come from the list-building BFS
+// that New ran before (referenceRuntime), and referenceDecide returns its
+// per-vertex relay counts next to its Result instead of inside its Stats.
+
+// referenceRuntime is a Runtime plus its hop balls as sorted vertex lists,
+// the form the oracle reads them in. Its list fields shadow the Runtime's
+// bitset rows of the same names.
+type referenceRuntime struct {
+	*Runtime
+	ballR   [][]int // J_{H,r}(v) per vertex
+	ball2R1 [][]int // J_{H,2r+1}(v) per vertex
+	ballLB  [][]int // J_{H,3r+2}(v) per vertex, the LB broadcast radius
+}
+
+// newReferenceRuntime builds rt's ball lists with the bounded BFS New ran
+// when the Runtime kept them.
+func newReferenceRuntime(rt *Runtime) *referenceRuntime {
+	h := rt.ext.H
+	n := h.N()
+	r := rt.r
+	ref := &referenceRuntime{
+		Runtime: rt,
+		ballR:   make([][]int, n),
+		ball2R1: make([][]int, n),
+		ballLB:  make([][]int, n),
+	}
+	// One bounded BFS to 3r+2 per vertex covers all three radii (the LB
+	// radius is 3r+2, one hop past the paper's 3r+1, because the
+	// winner-neighbor exclusion rule extends the ruled set to r+1 hops
+	// around a leader). The dist/queue buffers are reused across vertices
+	// to avoid n² map work.
+	dist := make([]int, n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	queue := make([]int, 0, n)
+	visited := make([]int, 0, n)
+	for v := 0; v < n; v++ {
+		dist[v] = 0
+		queue = append(queue[:0], v)
+		visited = append(visited[:0], v)
+		for qi := 0; qi < len(queue); qi++ {
+			u := queue[qi]
+			if dist[u] == 3*r+2 {
+				continue
+			}
+			for _, w := range h.Neighbors(u) {
+				if dist[w] < 0 {
+					dist[w] = dist[u] + 1
+					queue = append(queue, w)
+					visited = append(visited, w)
+				}
+			}
+		}
+		sort.Ints(visited)
+		for _, u := range visited {
+			d := dist[u]
+			if d <= r {
+				ref.ballR[v] = append(ref.ballR[v], u)
+			}
+			if d <= 2*r+1 {
+				ref.ball2R1[v] = append(ref.ball2R1[v], u)
+			}
+			ref.ballLB[v] = append(ref.ballLB[v], u)
+		}
+		for _, u := range visited {
+			dist[u] = -1
+		}
+	}
+	return ref
+}
 
 // scratch holds the per-Decide working buffers. Pooling them cuts the
 // per-decision allocation count roughly in half, which matters to the
@@ -59,26 +131,26 @@ func (sc *scratch) grab(n int) {
 // the first round.
 //
 // It rebuilds its working state from scratch on every call and is safe for
-// concurrent use.
-func referenceDecide(rt *Runtime, weights []float64, prevPlayed []int) (*Result, error) {
+// concurrent use. Next to the Result it returns the per-vertex relay
+// counts (WB + LS declarations + LB).
+func referenceDecide(rt *referenceRuntime, weights []float64, prevPlayed []int) (*Result, []int, error) {
 	h := rt.ext.H
 	n := h.N()
 	if len(weights) != n {
-		return nil, fmt.Errorf("protocol: %d weights for %d vertices", len(weights), n)
+		return nil, nil, fmt.Errorf("protocol: %d weights for %d vertices", len(weights), n)
 	}
-	res := &Result{
-		Stats: Stats{MessagesPerVertex: make([]int, n)},
-	}
+	res := &Result{}
+	messagesPerVertex := make([]int, n)
 
 	// --- Weight broadcast (WB): each vertex of the previous strategy
 	// floods its new weight within (2r+1) hops.
 	for _, v := range prevPlayed {
 		if v < 0 || v >= n {
-			return nil, fmt.Errorf("protocol: played vertex %d out of range [0,%d)", v, n)
+			return nil, nil, fmt.Errorf("protocol: played vertex %d out of range [0,%d)", v, n)
 		}
 		res.Stats.WeightBroadcasts++
 		for _, u := range rt.ball2R1[v] {
-			res.Stats.MessagesPerVertex[u]++
+			messagesPerVertex[u]++
 		}
 	}
 	width := 2*rt.r + 1
@@ -107,13 +179,13 @@ func referenceDecide(rt *Runtime, weights []float64, prevPlayed []int) (*Result,
 			res.Stats.LeaderDeclarations++
 			// LS declaration floods the (2r+1)-hop neighborhood.
 			for _, u := range rt.ball2R1[v] {
-				res.Stats.MessagesPerVertex[u]++
+				messagesPerVertex[u]++
 			}
 		}
 		for _, v := range leaders {
 			winners, losers, err := referenceLocalDecision(rt, v, weights, status, sc)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			for _, u := range winners {
 				status[u] = Winner
@@ -144,7 +216,7 @@ func referenceDecide(rt *Runtime, weights []float64, prevPlayed []int) (*Result,
 			// exclusions).
 			res.Stats.LocalBroadcasts++
 			for _, u := range rt.ballLB[v] {
-				res.Stats.MessagesPerVertex[u]++
+				messagesPerVertex[u]++
 			}
 		}
 		res.MiniRounds++
@@ -161,14 +233,14 @@ func referenceDecide(rt *Runtime, weights []float64, prevPlayed []int) (*Result,
 	}
 	sort.Ints(res.Winners)
 	if !h.IsIndependent(res.Winners) {
-		return nil, errors.New("protocol: internal error: winners are not independent")
+		return nil, nil, errors.New("protocol: internal error: winners are not independent")
 	}
 	strategy, err := rt.ext.StrategyFromVertices(res.Winners)
 	if err != nil {
-		return nil, fmt.Errorf("protocol: winners to strategy: %w", err)
+		return nil, nil, fmt.Errorf("protocol: winners to strategy: %w", err)
 	}
 	res.Strategy = strategy
-	return res, nil
+	return res, messagesPerVertex, nil
 }
 
 // referenceSelectLeaders returns the Candidates whose (weight, -id) is
@@ -178,7 +250,7 @@ func referenceDecide(rt *Runtime, weights []float64, prevPlayed []int) (*Result,
 // r-balls disjoint and the union of their local MWIS results independent.
 // The returned slice is scratch-backed: it is only valid until the next
 // call.
-func referenceSelectLeaders(rt *Runtime, weights []float64, status []Status, sc *scratch) []int {
+func referenceSelectLeaders(rt *referenceRuntime, weights []float64, status []Status, sc *scratch) []int {
 	leaders := sc.leaders[:0]
 	for v, st := range status {
 		if st != Candidate {
@@ -206,7 +278,7 @@ func referenceSelectLeaders(rt *Runtime, weights []float64, status []Status, sc 
 // Candidate vertices in its r-hop neighborhood (the leader itself counts —
 // its status was just set to LocalLeader, which still makes it undecided)
 // and splits A_r(v) into winners and losers.
-func referenceLocalDecision(rt *Runtime, v int, weights []float64, status []Status, sc *scratch) (winners, losers []int, err error) {
+func referenceLocalDecision(rt *referenceRuntime, v int, weights []float64, status []Status, sc *scratch) (winners, losers []int, err error) {
 	ar := sc.ar[:0]
 	for _, u := range rt.ballR[v] {
 		if status[u] == Candidate || u == v {
