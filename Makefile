@@ -44,12 +44,15 @@ race:
 stackbench-test:
 	cd stackbench && $(GO) vet ./... && $(GO) test ./...
 
-# Thirty seconds of native fuzzing of the decider against its from-scratch
-# oracle (FuzzDeciderMatchesReference); `make test` only replays the
-# committed corpus. A diverging input is written under
-# internal/protocol/testdata/fuzz and fails the target.
+# Thirty seconds of native fuzzing for each of two targets: the decider
+# against its from-scratch oracle (FuzzDeciderMatchesReference), then the
+# local MWIS's rank-space search against the id-space one
+# (FuzzRankSearchMatchesReference); `make test` only replays the committed
+# corpora. A diverging input is written under the package's testdata/fuzz
+# and fails the target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeciderMatchesReference$$' -fuzztime 30s ./internal/protocol
+	$(GO) test -run '^$$' -fuzz '^FuzzRankSearchMatchesReference$$' -fuzztime 30s ./internal/mwis
 
 # Full benchmark suite (slow; regenerates every figure several times).
 bench:

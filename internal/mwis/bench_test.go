@@ -8,53 +8,76 @@ import (
 	"multihopbandit/internal/topology"
 )
 
-// BenchmarkSolvePrepared times Hybrid.SolvePrepared, the decider's local
-// solve, over the r=2 candidate balls of a Fig. 6-size network: N=100 nodes
-// of average degree 6 and M=5 channels, a 500-vertex extended graph. Each op
-// solves the next ball in turn with the slack certificate requested, as the
-// decider does; nodes/op is the branch-and-bound nodes spent per solve.
-// "uniform" draws seeded uniform weights; "unseen" gives every vertex the
-// index of an unplayed arm (2.0), the warm-up tie regime that runs searches
-// into the node budget.
-func BenchmarkSolvePrepared(b *testing.B) {
+// preparedBalls prepares the r=2 balls of more than minN vertices of the
+// extended graph of a random network: N=100 nodes of average degree 6
+// (seed 3) and m channels.
+func preparedBalls(b *testing.B, m, minN int) []Prepared {
 	nw, err := topology.Random(topology.RandomConfig{N: 100, TargetDegree: 6}, rng.New(3))
 	if err != nil {
 		b.Fatal(err)
 	}
-	ext, err := extgraph.Build(nw.G, 5)
+	ext, err := extgraph.Build(nw.G, m)
 	if err != nil {
 		b.Fatal(err)
 	}
-	balls := make([]Prepared, ext.K())
+	var balls []Prepared
 	var prep Workspace
-	for v := range balls {
+	for v := 0; v < ext.K(); v++ {
 		sub, _ := ext.H.InducedSubgraph(ext.H.Ball(v, 2))
-		balls[v].Prepare(sub, &prep)
-	}
-	src := rng.New(2)
-	uniform := make([][]float64, len(balls))
-	unseen := make([][]float64, len(balls))
-	for v, p := range balls {
-		uniform[v] = make([]float64, p.N())
-		unseen[v] = make([]float64, p.N())
-		for i := range uniform[v] {
-			uniform[v][i] = src.Float64()
-			unseen[v][i] = 2.0
+		if sub.N() > minN {
+			balls = append(balls, Prepared{})
+			balls[len(balls)-1].Prepare(sub, &prep)
 		}
+	}
+	return balls
+}
+
+// BenchmarkSolvePrepared times Hybrid.SolvePrepared, the decider's local
+// solve, over r=2 candidate balls. Each op solves the next ball in turn
+// with the slack certificate requested, as the decider does; nodes/op is
+// the branch-and-bound nodes spent per solve.
+//
+//   - "uniform" and "unseen" solve every ball of a Fig. 6-size network
+//     (M=5, a 500-vertex extended graph), only 5 of which exceed 64
+//     vertices, so they time the one-word search body. "uniform" draws
+//     seeded uniform weights; "unseen" gives every vertex the index of an
+//     unplayed arm (2.0), the warm-up tie regime that runs searches into
+//     the node budget.
+//   - "wide" solves, under seeded uniform weights, the balls of more than
+//     64 vertices of the same network at M=10 (Fig. 8's size), so it times
+//     the multi-word body.
+func BenchmarkSolvePrepared(b *testing.B) {
+	fig6 := preparedBalls(b, 5, 0)
+	wide := preparedBalls(b, 10, 64)
+	src := rng.New(2)
+	draw := func(balls []Prepared, weight func() float64) [][]float64 {
+		w := make([][]float64, len(balls))
+		for k := range balls {
+			w[k] = make([]float64, balls[k].N())
+			for i := range w[k] {
+				w[k][i] = weight()
+			}
+		}
+		return w
 	}
 	const budget = 50000
 	h := Hybrid{Budget: budget}
 	for _, bc := range []struct {
 		name    string
+		balls   []Prepared
 		weights [][]float64
-	}{{"uniform", uniform}, {"unseen", unseen}} {
+	}{
+		{"uniform", fig6, draw(fig6, src.Float64)},
+		{"unseen", fig6, draw(fig6, func() float64 { return 2.0 })},
+		{"wide", wide, draw(wide, src.Float64)},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			ws := Workspace{TrackSlack: true}
 			nodes := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k := i % len(balls)
-				if _, err := h.SolvePrepared(&balls[k], bc.weights[k], &ws); err != nil {
+				k := i % len(bc.balls)
+				if _, err := h.SolvePrepared(&bc.balls[k], bc.weights[k], &ws); err != nil {
 					b.Fatal(err)
 				}
 				nodes += budget - ws.st.budget

@@ -35,6 +35,17 @@ func (b bitset) next(i int) int {
 	}
 }
 
+// nextAnd returns the lowest bit set in both b and mask within words wi and
+// above, or -1 if there is none.
+func (b bitset) nextAnd(mask bitset, wi int) int {
+	for ; wi < len(b); wi++ {
+		if w := b[wi] & mask[wi]; w != 0 {
+			return wi*64 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
 // forEach calls fn for every set bit in ascending order.
 func (b bitset) forEach(fn func(i int)) {
 	for wi, w := range b {

@@ -155,11 +155,18 @@ func solvePooled(in Instance, solve func(Instance, *Workspace) ([]int, error)) (
 // space: rank r is the r-th vertex by descending weight, ties toward the
 // lower id. That is the order the pivot rule picks vertices in, so the
 // pivot is the lowest remaining rank, and the lowest remaining rank of a
-// clique is its heaviest remaining member.
+// clique, its head, is its heaviest remaining member. Each node carries
+// the heads of its remaining set down the tree, so the clique bound is a
+// sum over one bitset.
+//
+// Rows are rank-major, words words each: row r of adj is
+// adj[r*words:(r+1)*words]. With one word per row (n ≤ 64), adj and cmask
+// are one uint64 per rank, and branchWord runs the search on those.
 type search struct {
 	w      []float64 // weight per rank, non-increasing
-	adj    []bitset  // adj[r]: the ranks adjacent to r
-	cmask  bitset    // cmask[wi*n+r]: word wi of the ranks in r's clique, r included
+	words  int
+	adj    bitset // row r: the ranks adjacent to r
+	cmask  bitset // row r: the ranks in r's clique, r included
 	best   bitset
 	bestW  float64
 	budget int // remaining nodes; negative means unlimited
@@ -185,10 +192,9 @@ type search struct {
 	slack float64
 	u     float64
 
-	// Reusable buffers: left for the bound's walk, and one pair of bitsets
-	// per recursion depth for the include/exclude branches.
-	left      bitset
-	depthBufs [][2]bitset
+	// Multi-word body only: three bitsets per recursion depth, the exclude
+	// child's remaining set, the include child's, and the child's heads.
+	depthBufs [][3]bitset
 }
 
 // note records one weight-dependent comparison's margin. A zero diff is a
@@ -206,7 +212,9 @@ func (st *search) note(diff float64) {
 // exact runs the budgeted branch and bound over p under weights w, drawing
 // every buffer from ws. It returns the incumbent as ascending vertex ids
 // (aliasing ws) and whether the search exhausted. With track set, ws.st
-// holds both slack certificates afterwards.
+// holds both slack certificates afterwards. An instance of at most 64
+// vertices runs branchWord, a larger one branch; both make the same
+// comparisons in the same order.
 //
 // The rank-space search is the id-space branch and bound with the bound's
 // clique maxima summed by rank instead of by id. Rounding can differ in the
@@ -217,7 +225,7 @@ func (st *search) note(diff float64) {
 func (ws *Workspace) exact(p *Prepared, w []float64, budget int, track bool) ([]int, bool) {
 	n, words := p.n, p.words
 	st := &ws.st
-	*st = search{w: growFloats(&ws.rw, n), budget: budget, track: track}
+	*st = search{w: growFloats(&ws.rw, n), words: words, budget: budget, track: track}
 	if budget <= 0 {
 		st.budget = -1
 	}
@@ -236,51 +244,56 @@ func (ws *Workspace) exact(p *Prepared, w []float64, budget int, track bool) ([]
 	}
 	// Every bitset of the search comes out of one zeroed arena: the rank
 	// adjacency, one mask per clique and its copy per rank, the incumbent,
-	// the bound's scratch, the full and chosen sets, the result in id space,
-	// and two per recursion depth.
-	need := words * (2*n + p.ncliques + 2*(n+1) + 5)
+	// the root's remaining set and heads, the chosen set, the result in id
+	// space, and for the multi-word body three per recursion depth.
+	need := words * (2*n + p.ncliques + 5)
+	if words > 1 {
+		need += words * 3 * (n + 1)
+	}
 	if cap(ws.arena) < need {
 		ws.arena = make(bitset, need)
 	}
 	arena := ws.arena[:need]
 	clear(arena)
-	take := func() bitset {
-		b := arena[:words:words]
-		arena = arena[words:]
+	take := func(k int) bitset {
+		b := arena[: k*words : k*words]
+		arena = arena[k*words:]
 		return b
 	}
-	st.adj = growInts2(&ws.adj, n)
+	st.adj = take(n)
 	for r, v := range order {
-		row := take()
+		row := st.adj[r*words : (r+1)*words]
 		p.adj[v].forEach(func(u int) { row.set(rank[u]) })
-		st.adj[r] = row
 	}
-	// Clique masks are stored word-major, so that the bound's walk finds
-	// the word it clears at a fixed offset from the rank.
-	cliques := arena[:p.ncliques*words]
-	arena = arena[len(cliques):]
+	cliques := take(p.ncliques)
 	for r, v := range order {
 		c := p.clique[v]
 		bitset(cliques[c*words : (c+1)*words]).set(r)
 	}
-	st.cmask = arena[:n*words]
-	arena = arena[len(st.cmask):]
+	st.cmask = take(n)
 	for r, v := range order {
 		c := p.clique[v]
-		for wi := 0; wi < words; wi++ {
-			st.cmask[wi*n+r] = cliques[c*words+wi]
-		}
+		copy(st.cmask[r*words:(r+1)*words], cliques[c*words:(c+1)*words])
 	}
-	st.best, st.left = take(), take()
-	full, cur, ids := take(), take(), take()
+	st.best = take(1)
+	full, heads, cur, ids := take(1), take(1), take(1), take(1)
 	for r := 0; r < n; r++ {
 		full.set(r)
 	}
-	st.depthBufs = growDepth(&ws.depthBufs, n+1)
-	for i := range st.depthBufs {
-		st.depthBufs[i] = [2]bitset{take(), take()}
+	// Every clique is non-empty; its head is its lowest rank.
+	for c := 0; c < p.ncliques; c++ {
+		heads.set(bitset(cliques[c*words : (c+1)*words]).next(0))
 	}
-	exhausted := st.branch(full, 0, cur, 0)
+	var exhausted bool
+	if words == 1 {
+		exhausted = st.branchWord(full[0], heads[0], 0, 0, 0)
+	} else {
+		st.depthBufs = growDepth(&ws.depthBufs, n+1)
+		for i := range st.depthBufs {
+			st.depthBufs[i] = [3]bitset{take(1), take(1), take(1)}
+		}
+		exhausted = st.branch(full, heads, cur, 0, 0)
+	}
 	st.best.forEach(func(r int) { ids.set(order[r]) })
 	out := ws.eout[:0]
 	ids.forEach(func(v int) { out = append(out, v) })
@@ -337,52 +350,71 @@ func greedyCliquePartition(g *graph.Graph, ws *Workspace) []int {
 }
 
 // upperBound sums, per clique, the heaviest remaining vertex: an independent
-// set contains at most one vertex per clique. In rank space that is a walk,
-// one step per non-empty clique: the lowest remaining rank is its clique's
-// heaviest remaining member, so add its weight and drop its whole clique.
-func (st *search) upperBound(remaining bitset) float64 {
-	n := len(st.w)
-	left := st.left
-	copy(left, remaining)
+// set contains at most one vertex per clique. In rank space a clique's
+// heaviest remaining member is its head, so the bound adds the heads'
+// weights in ascending rank, that is by descending weight.
+func (st *search) upperBound(heads bitset) float64 {
 	total := 0.0
-	for wi := range left {
-		word := left[wi]
-		for word != 0 {
-			r := wi*64 + bits.TrailingZeros64(word)
-			total += st.w[r]
-			word &^= st.cmask[wi*n+r]
-			for j := wi + 1; j < len(left); j++ {
-				left[j] &^= st.cmask[j*n+r]
-			}
+	for wi, word := range heads {
+		for ; word != 0; word &= word - 1 {
+			total += st.w[wi*64+bits.TrailingZeros64(word)]
 		}
 	}
 	return total
 }
 
-// branch explores the remaining subproblem given the current chosen set and
-// weight at the given recursion depth. It returns false if the budget ran
-// out.
-func (st *search) branch(remaining bitset, curW float64, cur bitset, depth int) bool {
+// noteIncumbent is the incumbent comparison's certificate bookkeeping,
+// shared by both bodies. curW − bestW is a ±1-weighted sum over the
+// symmetric difference of the two sets, so an L1 weight drift below
+// |curW − bestW| cannot flip it. Callers skip the root, which compares two
+// empty sums (0 > 0, structurally false under any weights): noting its zero
+// margin would void every certificate.
+func (st *search) noteIncumbent(curW float64) {
+	st.note(curW - st.bestW)
+	if curW > st.bestW {
+		if st.bestW > st.u {
+			st.u = st.bestW
+		}
+	} else if curW > st.u {
+		st.u = curW
+	}
+}
+
+// prune runs the prune comparison and its certificate bookkeeping, shared by
+// both bodies, and reports whether the node is pruned. curW + ub − bestW
+// moves by at most 2× the L1 drift (cur and remaining are disjoint,
+// contributing ≤ D1 together; best may overlap both and contributes ≤ D1 on
+// its own), hence the halved margin. The bound itself needs no recording:
+// whichever vertex attains a clique's maximum, the maximum's value moves by
+// at most the clique members' summed drift.
+func (st *search) prune(curW, ub float64) bool {
+	if st.track {
+		st.note((curW + ub - st.bestW) / 2)
+	}
+	if curW+ub <= st.bestW {
+		// Every set inside the pruned subtree weighs at most curW+ub;
+		// depositing the bound keeps the uniqueness gap valid for them.
+		if st.track && curW+ub > st.u {
+			st.u = curW + ub
+		}
+		return true
+	}
+	return false
+}
+
+// branch explores the remaining subproblem, whose clique heads are heads,
+// given the current chosen set and weight at the given recursion depth. It
+// returns false if the budget ran out. branchWord is the same search on
+// one-word sets; the two must make the same comparisons in the same order.
+func (st *search) branch(remaining, heads, cur bitset, curW float64, depth int) bool {
 	if st.budget == 0 {
 		return false
 	}
 	if st.budget > 0 {
 		st.budget--
 	}
-	// Incumbent comparison: curW − bestW is a ±1-weighted sum over the
-	// symmetric difference of the two sets, so an L1 weight drift below
-	// |curW − bestW| cannot flip it. Depth 0 compares two empty sums (0 > 0,
-	// structurally false under any weights) and is not recorded — noting its
-	// zero margin would void every certificate.
 	if st.track && depth > 0 {
-		st.note(curW - st.bestW)
-		if curW > st.bestW {
-			if st.bestW > st.u {
-				st.u = st.bestW
-			}
-		} else if curW > st.u {
-			st.u = curW
-		}
+		st.noteIncumbent(curW)
 	}
 	if curW > st.bestW {
 		st.bestW = curW
@@ -394,23 +426,8 @@ func (st *search) branch(remaining bitset, curW float64, cur bitset, depth int) 
 	if pivot < 0 {
 		return true
 	}
-	ub := st.upperBound(remaining)
-	// Prune comparison: curW + ub − bestW moves by at most 2× the L1 drift
-	// (cur and remaining are disjoint, contributing ≤ D1 together; best may
-	// overlap both and contributes ≤ D1 on its own), hence the halved margin.
-	// The bound itself needs no recording: whichever vertex attains a
-	// clique's maximum, the maximum's value moves by at most the clique
-	// members' summed drift.
-	if st.track {
-		st.note((curW + ub - st.bestW) / 2)
-	}
-	if curW+ub <= st.bestW {
-		// Every set inside the pruned subtree weighs at most curW+ub;
-		// depositing the bound keeps the uniqueness gap valid for them.
-		if st.track && curW+ub > st.u {
-			st.u = curW + ub
-		}
-		return true // pruned
+	if st.prune(curW, st.upperBound(heads)) {
+		return true
 	}
 	// The pivot choice depends on one margin, max − runner-up (the next
 	// remaining rank): under any drift below it the pivot stays the strict
@@ -422,20 +439,92 @@ func (st *search) branch(remaining bitset, curW float64, cur bitset, depth int) 
 			st.note(st.w[pivot] - st.w[second])
 		}
 	}
-	// Include pivot: drop pivot and its neighbors from the remainder.
-	withPivot := st.depthBufs[depth][0]
-	copy(withPivot, remaining)
-	withPivot.clear(pivot)
-	inclRemaining := st.depthBufs[depth][1]
-	withPivot.andNotInto(st.adj[pivot], inclRemaining)
+	words := st.words
+	adj := st.adj[pivot*words : (pivot+1)*words]
+	bufs := &st.depthBufs[depth]
+	excl, incl, childHeads := bufs[0], bufs[1], bufs[2]
+	copy(excl, remaining)
+	excl.clear(pivot)
+	// Include pivot: drop pivot and its neighbors from the remainder. The
+	// pivot's clique lies in its neighborhood and leaves with it; every
+	// other clique whose head left gets its lowest rank still in incl, and
+	// every other head stays.
+	excl.andNotInto(adj, incl)
+	heads.andNotInto(adj, childHeads)
+	childHeads.clear(pivot)
+	for wi := pivot / 64; wi < words; wi++ {
+		for gone := heads[wi] & adj[wi]; gone != 0; gone &= gone - 1 {
+			h := wi*64 + bits.TrailingZeros64(gone)
+			if next := incl.nextAnd(st.cmask[h*words:(h+1)*words], wi); next >= 0 {
+				childHeads.set(next)
+			}
+		}
+	}
 	cur.set(pivot)
-	ok := st.branch(inclRemaining, curW+st.w[pivot], cur, depth+1)
+	ok := st.branch(incl, childHeads, cur, curW+st.w[pivot], depth+1)
 	cur.clear(pivot)
 	if !ok {
 		return false
 	}
-	// Exclude pivot.
-	return st.branch(withPivot, curW, cur, depth+1)
+	// Exclude pivot: its clique's next rank in excl, if any, heads it.
+	copy(childHeads, heads)
+	childHeads.clear(pivot)
+	if next := excl.nextAnd(st.cmask[pivot*words:(pivot+1)*words], pivot/64); next >= 0 {
+		childHeads.set(next)
+	}
+	return st.branch(excl, childHeads, cur, curW, depth+1)
+}
+
+// branchWord is branch on an instance of at most 64 vertices: every set is
+// one word, passed by value, so a node copies nothing and loops over no
+// words. It makes branch's comparisons, note calls and u deposits in
+// branch's order.
+func (st *search) branchWord(remaining, heads, cur uint64, curW float64, depth int) bool {
+	if st.budget == 0 {
+		return false
+	}
+	if st.budget > 0 {
+		st.budget--
+	}
+	if st.track && depth > 0 {
+		st.noteIncumbent(curW)
+	}
+	if curW > st.bestW {
+		st.bestW = curW
+		st.best[0] = cur
+	}
+	if remaining == 0 {
+		return true
+	}
+	pivot := bits.TrailingZeros64(remaining)
+	ub := 0.0
+	for h := heads; h != 0; h &= h - 1 {
+		ub += st.w[bits.TrailingZeros64(h)]
+	}
+	if st.prune(curW, ub) {
+		return true
+	}
+	bit := uint64(1) << pivot
+	excl := remaining &^ bit
+	if st.track && excl != 0 {
+		st.note(st.w[pivot] - st.w[bits.TrailingZeros64(excl)])
+	}
+	adj := st.adj[pivot]
+	incl := excl &^ adj
+	childHeads := heads &^ (adj | bit)
+	for gone := heads & adj; gone != 0; gone &= gone - 1 {
+		if next := incl & st.cmask[bits.TrailingZeros64(gone)]; next != 0 {
+			childHeads |= next & -next
+		}
+	}
+	if !st.branchWord(incl, childHeads, cur|bit, curW+st.w[pivot], depth+1) {
+		return false
+	}
+	childHeads = heads &^ bit
+	if next := excl & st.cmask[pivot]; next != 0 {
+		childHeads |= next & -next
+	}
+	return st.branchWord(excl, childHeads, cur, curW, depth+1)
 }
 
 // ---------------------------------------------------------------------------

@@ -472,11 +472,16 @@ func TestUpperBoundSound(t *testing.T) {
 		var ws Workspace
 		p.Prepare(in.G, &ws)
 		ws.exact(&p, in.W, 0, false)
-		full := newBitset(in.G.N())
-		for i := 0; i < in.G.N(); i++ {
-			full.set(i)
+		// With every rank remaining, a rank heads its clique iff it is the
+		// clique's lowest.
+		st, n := &ws.st, in.G.N()
+		heads := newBitset(n)
+		for r := 0; r < n; r++ {
+			if bitset(st.cmask[r*st.words:(r+1)*st.words]).next(0) == r {
+				heads.set(r)
+			}
 		}
-		if ub := ws.st.upperBound(full); ub < bruteForce(in)-1e-9 {
+		if ub := st.upperBound(heads); ub < bruteForce(in)-1e-9 {
 			t.Fatalf("seed %d: upper bound %v below optimum %v", seed, ub, bruteForce(in))
 		}
 	}
@@ -515,6 +520,14 @@ func TestBitsetOps(t *testing.T) {
 	}
 	if got := newBitset(10).next(0); got != -1 {
 		t.Fatalf("next on a fresh bitset = %d, want -1", got)
+	}
+	mask := newBitset(130)
+	mask.set(0)
+	mask.set(129)
+	for _, tc := range []struct{ wi, want int }{{0, 0}, {1, 129}, {2, 129}, {3, -1}} {
+		if got := b.nextAnd(mask, tc.wi); got != tc.want {
+			t.Fatalf("nextAnd from word %d = %d, want %d", tc.wi, got, tc.want)
+		}
 	}
 }
 

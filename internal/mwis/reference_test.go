@@ -269,7 +269,7 @@ func (st *refSearch) branch(remaining bitset, curW float64, cur bitset, depth in
 }
 
 // bound is upperBound, re-summed when sumByRank is set: the same clique
-// maxima, added by descending weight as the rank-space walk adds them.
+// maxima, added by descending weight as the rank-space bound adds its heads.
 func (st *refSearch) bound(remaining bitset) float64 {
 	ub := st.upperBound(remaining)
 	if !st.sumByRank {
@@ -381,10 +381,29 @@ func referenceWeights(regime, n int, src *rng.Source) []float64 {
 // budget-exceeded incumbent. Any trial not listed must match.
 var referenceDiverging = map[int]bool{1201: true}
 
+// referenceDensities are the edge densities the rank-search trials draw.
+var referenceDensities = []float64{0.02, 0.05, 0.1, 0.2, 0.4, 0.7}
+
+// referenceGraph draws a graph on n vertices, each pair an edge with
+// probability density.
+func referenceGraph(n int, density float64, src *rng.Source) *graph.Graph {
+	g := graph.New(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if src.Float64() < density {
+				_ = g.AddEdge(i, j)
+			}
+		}
+	}
+	return g
+}
+
 // TestRankSearchMatchesReference pins the rank-space search to the id-space
 // one on seeded random instances: 1–130 vertices (one to three bitset
 // words), densities from sparse to dense, six weight regimes, budgets from
-// 1 to 300 and at 20,000 and 50,000. Two oracles:
+// 1 to 300 and at 20,000 and 50,000. Then, at n = 63, 64 and 65, the last
+// sizes of the one-word body and the first of the multi-word body, it runs
+// trials in every weight regime. Two oracles:
 //
 //   - The id-space search with its bound summed in rank order must agree bit
 //     for bit on every trial: set, exhaustion, node count, slack and gap.
@@ -397,49 +416,87 @@ var referenceDiverging = map[int]bool{1201: true}
 //     summation order to flip it.
 func TestRankSearchMatchesReference(t *testing.T) {
 	const trials = 1500
-	src := rng.New(2011)
 	var ws Workspace
 	var p Prepared
 	compared := 0
-	for trial := 0; trial < trials; trial++ {
-		n := 1 + src.Intn(130)
-		density := []float64{0.02, 0.05, 0.1, 0.2, 0.4, 0.7}[src.Intn(6)]
-		g := graph.New(n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if src.Float64() < density {
-					_ = g.AddEdge(i, j)
-				}
-			}
-		}
-		regime := src.Intn(6)
-		w := referenceWeights(regime, n, src)
-		budget := []int{1 + src.Intn(300), 20000, 50000}[src.Intn(3)]
+	check := func(desc string, g *graph.Graph, w []float64, budget int, diverging bool) {
 		p.Prepare(g, &ws)
 		got := rankSolve(&p, w, budget, &ws)
-		desc := fmt.Sprintf("trial %d (n=%d density=%v regime=%d budget=%d)", trial, n, density, regime, budget)
 		if alt := refSolve(&p, w, budget, true); !reflect.DeepEqual(got, alt) {
 			t.Fatalf("%s: rank-space %+v, id-space with rank-order bound %+v", desc, got, alt)
 		}
 		want := refSolve(&p, w, budget, false)
-		if referenceDiverging[trial] {
+		if diverging {
 			t.Logf("%s: set %v exhausted %v after %d nodes, id-space %v exhausted %v after %d nodes (slack %v)",
 				desc, got.set, got.exhausted, got.nodes, want.set, want.exhausted, want.nodes, want.slack)
-			continue
+			return
 		}
 		if !equalIntSlices(got.set, want.set) || got.exhausted != want.exhausted {
 			t.Fatalf("%s: set %v exhausted %v, id-space %v exhausted %v (slack %v)",
 				desc, got.set, got.exhausted, want.set, want.exhausted, want.slack)
 		}
 		if want.slack <= 1e-9 {
-			continue
+			return
 		}
 		compared++
 		if got.nodes != want.nodes || math.Abs(got.slack-want.slack) > 1e-9 || math.Abs(got.gap-want.gap) > 1e-9 {
 			t.Fatalf("%s: %+v, id-space %+v", desc, got, want)
 		}
 	}
+	src := rng.New(2011)
+	for trial := 0; trial < trials; trial++ {
+		n := 1 + src.Intn(130)
+		density := referenceDensities[src.Intn(len(referenceDensities))]
+		g := referenceGraph(n, density, src)
+		regime := src.Intn(6)
+		w := referenceWeights(regime, n, src)
+		budget := []int{1 + src.Intn(300), 20000, 50000}[src.Intn(3)]
+		desc := fmt.Sprintf("trial %d (n=%d density=%v regime=%d budget=%d)", trial, n, density, regime, budget)
+		check(desc, g, w, budget, referenceDiverging[trial])
+	}
 	if compared < trials/10 {
 		t.Fatalf("only %d of %d trials had a reference slack above 1e-9", compared, trials)
 	}
+	src = rng.New(2012)
+	for _, n := range []int{63, 64, 65} {
+		for regime := 0; regime < 6; regime++ {
+			for k := 0; k < 4; k++ {
+				density := referenceDensities[src.Intn(len(referenceDensities))]
+				g := referenceGraph(n, density, src)
+				w := referenceWeights(regime, n, src)
+				budget := []int{1 + src.Intn(300), 20000, 50000}[src.Intn(3)]
+				desc := fmt.Sprintf("boundary trial (n=%d density=%v regime=%d budget=%d)", n, density, regime, budget)
+				check(desc, g, w, budget, false)
+			}
+		}
+	}
+}
+
+// FuzzRankSearchMatchesReference fuzzes TestRankSearchMatchesReference's
+// first oracle: the rank-space search must agree bit for bit with the
+// id-space search whose bound is summed in rank order (set, exhaustion,
+// node count, slack and gap). The inputs choose the graph's seed, n in
+// 1–130, the edge density (densityRaw/255), a weight regime of
+// referenceWeights and a budget in 1–65,536. The committed corpus under
+// testdata/fuzz sits at n = 63, 64 and 65, across the boundary between the
+// one-word and multi-word bodies, in the all-2.0 and 1-ulp near-tie
+// regimes.
+func FuzzRankSearchMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, densityRaw, regimeRaw uint8, budgetRaw uint16) {
+		n := 1 + int(nRaw)%130
+		density := float64(densityRaw) / 255
+		regime := int(regimeRaw) % 6
+		budget := 1 + int(budgetRaw)
+		src := rng.New(seed)
+		g := referenceGraph(n, density, src)
+		w := referenceWeights(regime, n, src)
+		var ws Workspace
+		var p Prepared
+		p.Prepare(g, &ws)
+		got := rankSolve(&p, w, budget, &ws)
+		if want := refSolve(&p, w, budget, true); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d density=%v regime=%d budget=%d: rank-space %+v, id-space with rank-order bound %+v",
+				n, density, regime, budget, got, want)
+		}
+	})
 }

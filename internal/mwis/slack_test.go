@@ -24,14 +24,33 @@ func solvePreparedTracked(t *testing.T, h Hybrid, p *Prepared, w []float64, ws *
 // TestSlackCertificateSoundness is the property the sensitivity-skip path
 // rests on: for any weight vector whose L1 distance to the solved vector
 // stays strictly below the reported slack, a from-scratch solve returns the
-// identical set. Randomized over topologies, densities and drift shapes.
+// identical set. Randomized over topologies, densities and drift shapes:
+// 120 trials of 2–19 vertices, which the one-word search body solves, and
+// 40 sparse ones of 65–100 vertices for the multi-word body.
 func TestSlackCertificateSoundness(t *testing.T) {
-	src := rng.New(71)
+	small := checkSlackSoundness(t, 120, rng.New(71), 2, 18, 0.1, 0.6)
+	if small.certified < 40 || small.driftTrials < 200 {
+		t.Fatalf("weak coverage: %d certified solves, %d drift trials", small.certified, small.driftTrials)
+	}
+	wide := checkSlackSoundness(t, 40, rng.New(72), 65, 36, 0.02, 0.04)
+	if wide.certified < 10 || wide.driftTrials < 100 {
+		t.Fatalf("weak coverage over 65–100 vertices: %d certified solves, %d drift trials", wide.certified, wide.driftTrials)
+	}
+}
+
+// slackCoverage counts what one checkSlackSoundness run exercised.
+type slackCoverage struct{ certified, driftTrials int }
+
+// checkSlackSoundness runs TestSlackCertificateSoundness's trials on
+// instances of minN to minN+spanN−1 vertices and edge density minP to
+// minP+spanP.
+func checkSlackSoundness(t *testing.T, trials int, src *rng.Source, minN, spanN int, minP, spanP float64) slackCoverage {
+	t.Helper()
 	var h Hybrid
 	certified, driftTrials := 0, 0
-	for trial := 0; trial < 120; trial++ {
-		n := 2 + src.Intn(18)
-		in := randomInstance(n, 0.1+0.6*src.Float64(), src)
+	for trial := 0; trial < trials; trial++ {
+		n := minN + src.Intn(spanN)
+		in := randomInstance(n, minP+spanP*src.Float64(), src)
 		var p Prepared
 		var ws Workspace
 		p.Prepare(in.G, &ws)
@@ -75,9 +94,7 @@ func TestSlackCertificateSoundness(t *testing.T) {
 			}
 		}
 	}
-	if certified < 40 || driftTrials < 200 {
-		t.Fatalf("weak coverage: %d certified solves, %d drift trials", certified, driftTrials)
-	}
+	return slackCoverage{certified, driftTrials}
 }
 
 // TestUniquenessGapCertificate pins the second certificate on an instance

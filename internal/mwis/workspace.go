@@ -69,8 +69,7 @@ type Workspace struct {
 	rank      []int     // vertex id → rank
 	rw        []float64 // weight per rank
 	arena     bitset
-	adj       []bitset
-	depthBufs [][2]bitset
+	depthBufs [][3]bitset
 	eout      []int
 	// clique-partition state (shared by greedy bound construction)
 	clique  []int
@@ -96,9 +95,9 @@ func growInts2(s *[]bitset, n int) []bitset {
 }
 
 // growDepth resizes *s to length n, reusing capacity.
-func growDepth(s *[][2]bitset, n int) [][2]bitset {
+func growDepth(s *[][3]bitset, n int) [][3]bitset {
 	if cap(*s) < n {
-		*s = make([][2]bitset, n)
+		*s = make([][3]bitset, n)
 	}
 	*s = (*s)[:n]
 	return *s

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"multihopbandit/internal/graph"
@@ -42,18 +43,21 @@ func tieWeight(regime int, src *rng.Source) float64 {
 // the pooled Solve must return exactly what the reference returns — same
 // set, same error class — across random instances of varying size and
 // density, including budgeted exact searches that exhaust their budget,
-// under continuous weights and under each exact-tie regime. The references
-// are the allocating Greedy and Hybrid bodies (reference_test.go); Exact
-// has only its workspace body, which TestRankSearchMatchesReference pins,
-// so its pooled Solve is its reference here.
+// under continuous weights and under each exact-tie regime. Instances of
+// 4–27 vertices run the one-word search body, sparse ones of 65–100 the
+// multi-word body. The references are the allocating Greedy and Hybrid
+// bodies (reference_test.go); Exact has only its workspace body, which
+// TestRankSearchMatchesReference pins, so its pooled Solve is its
+// reference here.
 func TestSolveWorkspaceMatchesSolve(t *testing.T) {
 	hybrid := func(h Hybrid) func(Instance) ([]int, error) {
 		return func(in Instance) ([]int, error) { return referenceHybridSolve(h, in) }
 	}
-	solvers := []struct {
+	type solverCase struct {
 		s   workspaceSolver
 		ref func(Instance) ([]int, error)
-	}{
+	}
+	solvers := []solverCase{
 		{Greedy{}, referenceGreedySolve},
 		{Exact{}, Exact{}.Solve},
 		{Exact{Budget: 8}, Exact{Budget: 8}.Solve}, // forces ErrBudgetExceeded incumbents
@@ -61,9 +65,17 @@ func TestSolveWorkspaceMatchesSolve(t *testing.T) {
 		{Hybrid{Budget: 8}, hybrid(Hybrid{Budget: 8})},
 		{Hybrid{MaxExactNodes: 10}, hybrid(Hybrid{MaxExactNodes: 10})}, // forces the greedy-only branch
 	}
+	// Over 65–100 vertices an unbudgeted search can run for minutes, so the
+	// wide trials run it under the decider's budget.
+	wide := slices.Clone(solvers)
+	wide[1] = solverCase{Exact{Budget: 50000}, Exact{Budget: 50000}.Solve}
 	var ws Workspace
 	check := func(desc string, in Instance) {
-		for _, c := range solvers {
+		list := solvers
+		if in.G.N() > 64 {
+			list = wide
+		}
+		for _, c := range list {
 			s := c.s
 			want, wantErr := c.ref(in)
 			got, gotErr := s.SolveWorkspace(in, &ws)
@@ -99,6 +111,19 @@ func TestSolveWorkspaceMatchesSolve(t *testing.T) {
 			check(fmt.Sprintf("seed %d %s", seed, name), in)
 		}
 	}
+	// 65–100 vertices at sparse densities, for the multi-word search body.
+	for seed := int64(0); seed < 10; seed++ {
+		src := rng.New(seed + 3000)
+		n := 65 + src.Intn(36)
+		in := randomInstance(n, 0.02+0.04*src.Float64(), src)
+		check(fmt.Sprintf("seed %d wide", seed), in)
+		for regime, name := range tieRegimes {
+			for i := range in.W {
+				in.W[i] = tieWeight(regime, src)
+			}
+			check(fmt.Sprintf("seed %d wide %s", seed, name), in)
+		}
+	}
 }
 
 // TestSolveWorkspaceEmptyAndInvalid covers the degenerate paths.
@@ -125,20 +150,23 @@ func TestSolveWorkspaceEmptyAndInvalid(t *testing.T) {
 }
 
 // TestSolveWorkspaceNoAllocs asserts a warmed workspace solves without heap
-// allocations — the property the protocol decider's hot path relies on.
+// allocations — the property the protocol decider's hot path relies on — on
+// an 18-vertex instance (the one-word search body) and an 80-vertex one
+// (the multi-word body), dense enough to solve quickly.
 func TestSolveWorkspaceNoAllocs(t *testing.T) {
-	in := randomInstance(18, 0.25, rng.New(9))
-	var ws Workspace
-	for _, s := range []workspaceSolver{Greedy{}, Exact{}, Hybrid{}} {
-		if _, err := s.SolveWorkspace(in, &ws); err != nil { // warm
-			t.Fatal(err)
-		}
-		if got := testing.AllocsPerRun(100, func() {
-			if _, err := s.SolveWorkspace(in, &ws); err != nil {
+	for _, in := range []Instance{randomInstance(18, 0.25, rng.New(9)), randomInstance(80, 0.3, rng.New(10))} {
+		var ws Workspace
+		for _, s := range []workspaceSolver{Greedy{}, Exact{}, Hybrid{}} {
+			if _, err := s.SolveWorkspace(in, &ws); err != nil { // warm
 				t.Fatal(err)
 			}
-		}); got != 0 {
-			t.Errorf("%s: warmed workspace solve allocates %.1f times, want 0", s.Name(), got)
+			if got := testing.AllocsPerRun(100, func() {
+				if _, err := s.SolveWorkspace(in, &ws); err != nil {
+					t.Fatal(err)
+				}
+			}); got != 0 {
+				t.Errorf("%s on %d vertices: warmed workspace solve allocates %.1f times, want 0", s.Name(), in.G.N(), got)
+			}
 		}
 	}
 }
@@ -149,7 +177,9 @@ func TestSolveWorkspaceNoAllocs(t *testing.T) {
 // returns per vector — including budgeted
 // searches that fall back to the greedy heuristic and oversize instances
 // that skip the exact search entirely — under continuous weights and
-// under each exact-tie regime, whose drifts redraw from the regime.
+// under each exact-tie regime, whose drifts redraw from the regime. As in
+// TestSolveWorkspaceMatchesSolve, instances of 4–27 vertices run the
+// one-word search body and sparse ones of 65–100 the multi-word body.
 func TestSolvePreparedMatchesSolve(t *testing.T) {
 	hybrids := []Hybrid{
 		{},
@@ -194,6 +224,20 @@ func TestSolvePreparedMatchesSolve(t *testing.T) {
 				in.W[i] = draw()
 			}
 			run(fmt.Sprintf("seed %d %s", seed, name), in, src, draw)
+		}
+	}
+	// 65–100 vertices at sparse densities, for the multi-word search body.
+	for seed := int64(0); seed < 10; seed++ {
+		src := rng.New(seed + 4000)
+		n := 65 + src.Intn(36)
+		run(fmt.Sprintf("seed %d wide", seed), randomInstance(n, 0.02+0.04*src.Float64(), src), src, src.Float64)
+		for regime, name := range tieRegimes {
+			in := randomInstance(n, 0.02+0.04*src.Float64(), src)
+			draw := func() float64 { return tieWeight(regime, src) }
+			for i := range in.W {
+				in.W[i] = draw()
+			}
+			run(fmt.Sprintf("seed %d wide %s", seed, name), in, src, draw)
 		}
 	}
 }
@@ -262,20 +306,23 @@ func TestSolvePreparedValidation(t *testing.T) {
 }
 
 // TestSolvePreparedNoAllocs asserts the prepared+workspace hot path is
-// allocation-free once warm.
+// allocation-free once warm, on an 18-vertex instance (the one-word search
+// body) and an 80-vertex one (the multi-word body), dense enough to solve
+// quickly.
 func TestSolvePreparedNoAllocs(t *testing.T) {
-	in := randomInstance(18, 0.25, rng.New(13))
-	var ws Workspace
-	var pre Prepared
-	pre.Prepare(in.G, &ws)
-	if _, err := (Hybrid{}).SolvePrepared(&pre, in.W, &ws); err != nil {
-		t.Fatal(err)
-	}
-	if got := testing.AllocsPerRun(100, func() {
+	for _, in := range []Instance{randomInstance(18, 0.25, rng.New(13)), randomInstance(80, 0.3, rng.New(14))} {
+		var ws Workspace
+		var pre Prepared
+		pre.Prepare(in.G, &ws)
 		if _, err := (Hybrid{}).SolvePrepared(&pre, in.W, &ws); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 0 {
-		t.Errorf("warmed prepared solve allocates %.1f times, want 0", got)
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := (Hybrid{}).SolvePrepared(&pre, in.W, &ws); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%d vertices: warmed prepared solve allocates %.1f times, want 0", in.G.N(), got)
+		}
 	}
 }

@@ -163,7 +163,9 @@ type decideScratch struct {
 	arena      graph.SubgraphArena
 	moved      []int // rankOrder's merge buffer
 	leaders    []int
-	declared   []int // every leader of the decide, in declaration order
+	declared   []int     // every leader of the decide, in declaration order
+	roundW     []float64 // WeightByMiniRound, copied out at finalize
+	roundL     []int     // LeadersByMiniRound, copied out at finalize
 	ar         []int
 	w          []float64
 	inIS       []bool
@@ -497,6 +499,7 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 	winnerCount := 0
 	totalWinnerWeight := 0.0
 	sc.declared = sc.declared[:0]
+	sc.roundW, sc.roundL = sc.roundW[:0], sc.roundL[:0]
 	maxRounds := rt.d
 	if maxRounds == 0 {
 		maxRounds = n
@@ -547,8 +550,8 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 		}
 		res.MiniRounds++
 		res.Stats.MiniTimeslots += (2*rt.r + 1) + (3*rt.r + 2)
-		res.WeightByMiniRound = append(res.WeightByMiniRound, totalWinnerWeight)
-		res.LeadersByMiniRound = append(res.LeadersByMiniRound, len(leaders))
+		sc.roundW = append(sc.roundW, totalWinnerWeight)
+		sc.roundL = append(sc.roundL, len(leaders))
 		if traced {
 			now := time.Now()
 			d.trace.LocalMWISNS += now.Sub(phaseStart).Nanoseconds()
@@ -556,6 +559,11 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 		}
 	}
 	res.Converged = candidates == 0
+	// The series stay nil without a mini-round, as the oracle leaves them.
+	if res.MiniRounds > 0 {
+		res.WeightByMiniRound = slices.Clone(sc.roundW)
+		res.LeadersByMiniRound = slices.Clone(sc.roundL)
+	}
 
 	// Winners are collected in ascending id.
 	if winnerCount > 0 {
