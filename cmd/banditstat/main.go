@@ -55,11 +55,13 @@ type report struct {
 	EpochSkips  int64 `json:"epoch_skips"`
 
 	// Per-leader cache accounting inside full decides: exact-equality
-	// replays, drift-within-slack replays, and actual local MWIS re-solves
-	// (structure hits + misses).
+	// replays, drift-within-slack replays, actual local MWIS re-solves
+	// (structure hits + misses), and the re-solves stopped at the node
+	// budget.
 	LeaderSkips      int64 `json:"leader_skips"`
 	SensitivitySkips int64 `json:"sensitivity_skips"`
 	LeaderResolves   int64 `json:"leader_resolves"`
+	BudgetStops      int64 `json:"budget_stops"`
 
 	EpochSkipRate float64 `json:"epoch_skip_rate"`
 	MemoHitRate   float64 `json:"memo_hit_rate"`
@@ -159,6 +161,7 @@ func main() {
 		rep.Decisions, rep.FullDecides, rep.EpochSkips, rep.EpochSkipRate)
 	fmt.Printf("  leader skips        %12d  exact, %d within sensitivity slack, %d re-solves\n",
 		rep.LeaderSkips, rep.SensitivitySkips, rep.LeaderResolves)
+	fmt.Printf("  budget stops        %12d  re-solves stopped at the node budget\n", rep.BudgetStops)
 	fmt.Printf("  memo hit rate       %12.3f\n", rep.MemoHitRate)
 	fmt.Printf("  artifact cache hits %12.3f\n", rep.CacheHitRate)
 	if len(rep.Phases) == 0 {
@@ -246,6 +249,7 @@ func summarize(exp *obs.Exposition) report {
 	rep.LeaderSkips = int64(leaderSkips)
 	rep.SensitivitySkips = int64(sensSkips)
 	rep.LeaderResolves = int64(structHits + misses)
+	rep.BudgetStops = int64(exp.Sum("banditd_decide_budget_stops_total"))
 	if lookups := leaderSkips + sensSkips + structHits + misses; lookups > 0 {
 		rep.MemoHitRate = (lookups - misses) / lookups
 	}

@@ -157,7 +157,11 @@ func solvePooled(in Instance, solve func(Instance, *Workspace) ([]int, error)) (
 // pivot is the lowest remaining rank, and the lowest remaining rank of a
 // clique, its head, is its heaviest remaining member. Each node carries
 // the heads of its remaining set down the tree, so the clique bound is a
-// sum over one bitset.
+// sum over one bitset, and it carries that sum too, as an estimate that
+// each child updates by the few heads its branch swapped. A node re-sums
+// its heads only where the estimate's rounding could change a prune, a
+// margin note or a gap deposit (see bound), so each of those is what an
+// exact sum at every node would give.
 //
 // Rows are rank-major, words words each: row r of adj is
 // adj[r*words:(r+1)*words]. With one word per row (n ≤ 64), adj and cmask
@@ -170,6 +174,12 @@ type search struct {
 	best   bitset
 	bestW  float64
 	budget int // remaining nodes; negative means unlimited
+
+	// tol bounds the rounding that separates a carried estimate from the
+	// exact heads sum, plus the comparison's own (see bound); sums counts
+	// the nodes that summed their heads exactly.
+	tol  float64
+	sums int
 
 	// Comparison-slack certificate (TrackSlack): slack is the minimum
 	// |lhs−rhs| margin, pre-scaled per comparison kind, over every
@@ -238,10 +248,13 @@ func (ws *Workspace) exact(p *Prepared, w []float64, budget int, track bool) ([]
 	}
 	sortByWeight(order, w)
 	rank := growInts(&ws.rank, n)
+	total := 0.0
 	for r, v := range order {
 		rank[v] = r
 		st.w[r] = w[v]
+		total += w[v]
 	}
+	st.tol = carryTol(n, total)
 	// Every bitset of the search comes out of one zeroed arena: the rank
 	// adjacency, one mask per clique and its copy per rank, the incumbent,
 	// the root's remaining set and heads, the chosen set, the result in id
@@ -284,15 +297,16 @@ func (ws *Workspace) exact(p *Prepared, w []float64, budget int, track bool) ([]
 	for c := 0; c < p.ncliques; c++ {
 		heads.set(bitset(cliques[c*words : (c+1)*words]).next(0))
 	}
+	// The root has no estimate to carry: a NaN one makes it sum its heads.
 	var exhausted bool
 	if words == 1 {
-		exhausted = st.branchWord(full[0], heads[0], 0, 0, 0)
+		exhausted = st.branchWord(full[0], heads[0], 0, 0, math.NaN(), 0)
 	} else {
 		st.depthBufs = growDepth(&ws.depthBufs, n+1)
 		for i := range st.depthBufs {
 			st.depthBufs[i] = [3]bitset{take(1), take(1), take(1)}
 		}
-		exhausted = st.branch(full, heads, cur, 0, 0)
+		exhausted = st.branch(full, heads, cur, 0, math.NaN(), 0)
 	}
 	st.best.forEach(func(r int) { ids.set(order[r]) })
 	out := ws.eout[:0]
@@ -352,7 +366,9 @@ func greedyCliquePartition(g *graph.Graph, ws *Workspace) []int {
 // upperBound sums, per clique, the heaviest remaining vertex: an independent
 // set contains at most one vertex per clique. In rank space a clique's
 // heaviest remaining member is its head, so the bound adds the heads'
-// weights in ascending rank, that is by descending weight.
+// weights in ascending rank, that is by descending weight. That order
+// fixes the float every prune compares; bound calls it only where a
+// carried estimate cannot stand in for it.
 func (st *search) upperBound(heads bitset) float64 {
 	total := 0.0
 	for wi, word := range heads {
@@ -361,6 +377,55 @@ func (st *search) upperBound(heads bitset) float64 {
 		}
 	}
 	return total
+}
+
+// carryTol is the search's tol for n vertices of total weight total: a
+// bound on |d − d*|, where d = curW + est − bestW is a node's margin from
+// its carried estimate and d* = (curW + ub) − bestW the one prune compares,
+// with ub the heads summed by upperBound.
+//
+// Every weight is non-negative, so every partial sum on either side is a
+// subset sum of at most total. An addition or subtraction rounds by at
+// most u·total (u = 2⁻⁵³) when its result is normal and not at all when it
+// is subnormal; halving a subnormal rounds by at most 2⁻¹⁰⁷⁵. Along a path
+// from the root, est is at most n additions from its last exact sum plus
+// 2n updates, since each rank enters the heads at most once and leaves
+// them at most once; ub is at most n additions; the two margins add at
+// most four more roundings. So |d − d*| ≤ (4n+4)·(u·total + 2⁻¹⁰⁷⁵). tol
+// takes 16·(n+1)·2⁻⁵²·total, eight times the relative part, so that the
+// halved margin of a note and the extra additions in bound's tests stay
+// inside it too, and adds 2⁻¹⁰²², the smallest normal number, for the
+// absolute part, which it covers for any n below 2⁵⁰. An infinite total
+// makes tol infinite, and every node then sums exactly.
+func carryTol(n int, total float64) float64 {
+	return 16*float64(n+1)*0x1p-52*total + 0x1p-1022
+}
+
+// bound decides the node's prune from est, the clique bound carried down
+// from its parent, and returns the bound to carry to its children and
+// whether the node is pruned. With m = |d| − tol for the margin d of
+// carryTol, the estimate decides alone when m > 0 is finite (so d is too)
+// and, while tracking,
+//
+//   - m/2 ≥ slack: prune's note, |d*|/2, is at least slack, so it cannot
+//     lower it;
+//   - d > 0, or curW + est + tol ≤ u: a pruned node's deposit, curW + ub,
+//     is at most u, so it cannot raise it.
+//
+// Then d* has d's sign and prune would return d < 0 and change neither
+// certificate. Anywhere else, a NaN or infinite estimate included, bound
+// sums the heads and calls prune with the exact bound, so every prune
+// decision, note and deposit is bit-identical to an exact sum at every
+// node. The exact bound is what the children then carry.
+func (st *search) bound(curW, est float64, heads bitset) (float64, bool) {
+	d := curW + est - st.bestW
+	if m := math.Abs(d) - st.tol; m > 0 && m <= math.MaxFloat64 &&
+		(!st.track || m/2 >= st.slack && (d > 0 || curW+est+st.tol <= st.u)) {
+		return est, d < 0
+	}
+	st.sums++
+	ub := st.upperBound(heads)
+	return ub, st.prune(curW, ub)
 }
 
 // noteIncumbent is the incumbent comparison's certificate bookkeeping,
@@ -380,13 +445,14 @@ func (st *search) noteIncumbent(curW float64) {
 	}
 }
 
-// prune runs the prune comparison and its certificate bookkeeping, shared by
-// both bodies, and reports whether the node is pruned. curW + ub − bestW
-// moves by at most 2× the L1 drift (cur and remaining are disjoint,
-// contributing ≤ D1 together; best may overlap both and contributes ≤ D1 on
-// its own), hence the halved margin. The bound itself needs no recording:
-// whichever vertex attains a clique's maximum, the maximum's value moves by
-// at most the clique members' summed drift.
+// prune runs the prune comparison and its certificate bookkeeping on the
+// exact bound ub, shared by both bodies through bound, and reports whether
+// the node is pruned. curW + ub − bestW moves by at most 2× the L1 drift
+// (cur and remaining are disjoint, contributing ≤ D1 together; best may
+// overlap both and contributes ≤ D1 on its own), hence the halved margin.
+// The bound itself needs no recording: whichever vertex attains a clique's
+// maximum, the maximum's value moves by at most the clique members' summed
+// drift.
 func (st *search) prune(curW, ub float64) bool {
 	if st.track {
 		st.note((curW + ub - st.bestW) / 2)
@@ -402,11 +468,12 @@ func (st *search) prune(curW, ub float64) bool {
 	return false
 }
 
-// branch explores the remaining subproblem, whose clique heads are heads,
-// given the current chosen set and weight at the given recursion depth. It
-// returns false if the budget ran out. branchWord is the same search on
-// one-word sets; the two must make the same comparisons in the same order.
-func (st *search) branch(remaining, heads, cur bitset, curW float64, depth int) bool {
+// branch explores the remaining subproblem, whose clique heads are heads
+// and whose carried clique bound is est (see bound), given the current
+// chosen set and weight at the given recursion depth. It returns false if
+// the budget ran out. branchWord is the same search on one-word sets; the
+// two must make the same comparisons in the same order.
+func (st *search) branch(remaining, heads, cur bitset, curW, est float64, depth int) bool {
 	if st.budget == 0 {
 		return false
 	}
@@ -426,7 +493,8 @@ func (st *search) branch(remaining, heads, cur bitset, curW float64, depth int) 
 	if pivot < 0 {
 		return true
 	}
-	if st.prune(curW, st.upperBound(heads)) {
+	est, pruned := st.bound(curW, est, heads)
+	if pruned {
 		return true
 	}
 	// The pivot choice depends on one margin, max − runner-up (the next
@@ -445,23 +513,28 @@ func (st *search) branch(remaining, heads, cur bitset, curW float64, depth int) 
 	excl, incl, childHeads := bufs[0], bufs[1], bufs[2]
 	copy(excl, remaining)
 	excl.clear(pivot)
+	// Both children's estimates drop the pivot, which is always a head.
+	rest := est - st.w[pivot]
 	// Include pivot: drop pivot and its neighbors from the remainder. The
 	// pivot's clique lies in its neighborhood and leaves with it; every
 	// other clique whose head left gets its lowest rank still in incl, and
-	// every other head stays.
+	// every other head stays. The estimate swaps the same heads.
 	excl.andNotInto(adj, incl)
 	heads.andNotInto(adj, childHeads)
 	childHeads.clear(pivot)
+	childEst := rest
 	for wi := pivot / 64; wi < words; wi++ {
 		for gone := heads[wi] & adj[wi]; gone != 0; gone &= gone - 1 {
 			h := wi*64 + bits.TrailingZeros64(gone)
+			childEst -= st.w[h]
 			if next := incl.nextAnd(st.cmask[h*words:(h+1)*words], wi); next >= 0 {
 				childHeads.set(next)
+				childEst += st.w[next]
 			}
 		}
 	}
 	cur.set(pivot)
-	ok := st.branch(incl, childHeads, cur, curW+st.w[pivot], depth+1)
+	ok := st.branch(incl, childHeads, cur, curW+st.w[pivot], childEst, depth+1)
 	cur.clear(pivot)
 	if !ok {
 		return false
@@ -469,17 +542,19 @@ func (st *search) branch(remaining, heads, cur bitset, curW float64, depth int) 
 	// Exclude pivot: its clique's next rank in excl, if any, heads it.
 	copy(childHeads, heads)
 	childHeads.clear(pivot)
+	childEst = rest
 	if next := excl.nextAnd(st.cmask[pivot*words:(pivot+1)*words], pivot/64); next >= 0 {
 		childHeads.set(next)
+		childEst += st.w[next]
 	}
-	return st.branch(excl, childHeads, cur, curW, depth+1)
+	return st.branch(excl, childHeads, cur, curW, childEst, depth+1)
 }
 
 // branchWord is branch on an instance of at most 64 vertices: every set is
 // one word, passed by value, so a node copies nothing and loops over no
 // words. It makes branch's comparisons, note calls and u deposits in
-// branch's order.
-func (st *search) branchWord(remaining, heads, cur uint64, curW float64, depth int) bool {
+// branch's order, and carries its estimate by the same updates.
+func (st *search) branchWord(remaining, heads, cur uint64, curW, est float64, depth int) bool {
 	if st.budget == 0 {
 		return false
 	}
@@ -497,11 +572,8 @@ func (st *search) branchWord(remaining, heads, cur uint64, curW float64, depth i
 		return true
 	}
 	pivot := bits.TrailingZeros64(remaining)
-	ub := 0.0
-	for h := heads; h != 0; h &= h - 1 {
-		ub += st.w[bits.TrailingZeros64(h)]
-	}
-	if st.prune(curW, ub) {
+	est, pruned := st.bound(curW, est, bitset{heads})
+	if pruned {
 		return true
 	}
 	bit := uint64(1) << pivot
@@ -512,19 +584,26 @@ func (st *search) branchWord(remaining, heads, cur uint64, curW float64, depth i
 	adj := st.adj[pivot]
 	incl := excl &^ adj
 	childHeads := heads &^ (adj | bit)
+	rest := est - st.w[pivot]
+	childEst := rest
 	for gone := heads & adj; gone != 0; gone &= gone - 1 {
-		if next := incl & st.cmask[bits.TrailingZeros64(gone)]; next != 0 {
+		h := bits.TrailingZeros64(gone)
+		childEst -= st.w[h]
+		if next := incl & st.cmask[h]; next != 0 {
 			childHeads |= next & -next
+			childEst += st.w[bits.TrailingZeros64(next)]
 		}
 	}
-	if !st.branchWord(incl, childHeads, cur|bit, curW+st.w[pivot], depth+1) {
+	if !st.branchWord(incl, childHeads, cur|bit, curW+st.w[pivot], childEst, depth+1) {
 		return false
 	}
 	childHeads = heads &^ bit
+	childEst = rest
 	if next := excl & st.cmask[pivot]; next != 0 {
 		childHeads |= next & -next
+		childEst += st.w[bits.TrailingZeros64(next)]
 	}
-	return st.branchWord(excl, childHeads, cur, curW, depth+1)
+	return st.branchWord(excl, childHeads, cur, curW, childEst, depth+1)
 }
 
 // ---------------------------------------------------------------------------

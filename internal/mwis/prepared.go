@@ -104,6 +104,11 @@ func (p *Prepared) Prepare(g *graph.Graph, ws *Workspace) {
 // (TestHybridKeepsExhaustiveSetOnRoundingTie). The returned slice aliases
 // ws.
 func (h Hybrid) SolvePrepared(p *Prepared, w []float64, ws *Workspace) ([]int, error) {
+	// Pessimistic defaults: every path that does not complete the exact
+	// search leaves the slack certificate void (see Workspace.TrackSlack),
+	// and only a search that runs can stop at the budget.
+	ws.Slack = 0
+	ws.BudgetStop = false
 	if len(w) != p.n {
 		return nil, fmt.Errorf("mwis: %d weights for %d vertices", len(w), p.n)
 	}
@@ -111,13 +116,11 @@ func (h Hybrid) SolvePrepared(p *Prepared, w []float64, ws *Workspace) ([]int, e
 		return nil, err
 	}
 	budget, maxExact := h.limits()
-	// Pessimistic default: every path that does not complete the exact
-	// search leaves the slack certificate void (see Workspace.TrackSlack).
-	ws.Slack = 0
 	if p.n > maxExact {
 		return greedyPrepared(p, w, ws), nil
 	}
 	exactSet, exhausted := ws.exact(p, w, budget, ws.TrackSlack)
+	ws.BudgetStop = !exhausted
 	if exhausted {
 		if ws.TrackSlack {
 			// Two independent replay certificates; the weaker conditions

@@ -332,6 +332,14 @@ func refSolve(p *Prepared, w []float64, budget int, sumByRank bool) refResult {
 	return refResult{set, exhausted, budget - st.budget, st.slack, st.bestW - st.u}
 }
 
+// sameBits reports whether two results agree bit for bit, their floats
+// compared by bit pattern: infinite weights can make a gap NaN, which
+// reflect.DeepEqual never finds equal to itself.
+func sameBits(a, b refResult) bool {
+	return equalIntSlices(a.set, b.set) && a.exhausted == b.exhausted && a.nodes == b.nodes &&
+		math.Float64bits(a.slack) == math.Float64bits(b.slack) && math.Float64bits(a.gap) == math.Float64bits(b.gap)
+}
+
 // rankSolve runs the package's search under the same conditions.
 func rankSolve(p *Prepared, w []float64, budget int, ws *Workspace) refResult {
 	set, exhausted := ws.exact(p, w, budget, true)
@@ -367,6 +375,16 @@ func referenceWeights(regime, n int, src *rng.Source) []float64 {
 			if src.Intn(2) == 0 {
 				w[i] = src.Float64()
 			}
+		case 6: // zeros mixed with small multiples of the least subnormal
+			if src.Intn(2) == 0 {
+				w[i] = float64(1+src.Intn(7)) * math.SmallestNonzeroFloat64
+			}
+		case 7: // near MaxFloat64/8, so that sums overflow, and rarely +Inf
+			if src.Intn(64) == 0 {
+				w[i] = math.Inf(1)
+			} else {
+				w[i] = (0.5 + src.Float64()/2) * (math.MaxFloat64 / 8)
+			}
 		}
 	}
 	return w
@@ -400,10 +418,14 @@ func referenceGraph(n int, density float64, src *rng.Source) *graph.Graph {
 
 // TestRankSearchMatchesReference pins the rank-space search to the id-space
 // one on seeded random instances: 1–130 vertices (one to three bitset
-// words), densities from sparse to dense, six weight regimes, budgets from
+// words), densities from sparse to dense, weight regimes 0–5, budgets from
 // 1 to 300 and at 20,000 and 50,000. Then, at n = 63, 64 and 65, the last
 // sizes of the one-word body and the first of the multi-word body, it runs
-// trials in every weight regime. Two oracles:
+// trials in each of those regimes. Last come trials in the two extreme
+// regimes, 6 (subnormal) and 7 (overflowing, with +Inf), held to the first
+// oracle alone: there the carried bound's tolerance is its absolute floor,
+// or infinite, so they check that every node it cannot settle sums
+// exactly. Two oracles:
 //
 //   - The id-space search with its bound summed in rank order must agree bit
 //     for bit on every trial: set, exhaustion, node count, slack and gap.
@@ -470,6 +492,21 @@ func TestRankSearchMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	src = rng.New(2013)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + src.Intn(130)
+		density := referenceDensities[src.Intn(len(referenceDensities))]
+		g := referenceGraph(n, density, src)
+		regime := 6 + trial%2
+		w := referenceWeights(regime, n, src)
+		budget := []int{1 + src.Intn(300), 20000, 50000}[src.Intn(3)]
+		p.Prepare(g, &ws)
+		got := rankSolve(&p, w, budget, &ws)
+		if want := refSolve(&p, w, budget, true); !sameBits(got, want) {
+			t.Fatalf("extreme trial %d (n=%d density=%v regime=%d budget=%d): rank-space %+v, id-space with rank-order bound %+v",
+				trial, n, density, regime, budget, got, want)
+		}
+	}
 }
 
 // FuzzRankSearchMatchesReference fuzzes TestRankSearchMatchesReference's
@@ -477,15 +514,17 @@ func TestRankSearchMatchesReference(t *testing.T) {
 // id-space search whose bound is summed in rank order (set, exhaustion,
 // node count, slack and gap). The inputs choose the graph's seed, n in
 // 1–130, the edge density (densityRaw/255), a weight regime of
-// referenceWeights and a budget in 1–65,536. The committed corpus under
+// referenceWeights (regimeRaw % 8) and a budget in 1–65,536. Floats are
+// compared by bit pattern (sameBits). The committed corpus under
 // testdata/fuzz sits at n = 63, 64 and 65, across the boundary between the
 // one-word and multi-word bodies, in the all-2.0 and 1-ulp near-tie
-// regimes.
+// regimes, with one entry each at n = 64 and 65 in the subnormal and
+// overflowing regimes.
 func FuzzRankSearchMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, densityRaw, regimeRaw uint8, budgetRaw uint16) {
 		n := 1 + int(nRaw)%130
 		density := float64(densityRaw) / 255
-		regime := int(regimeRaw) % 6
+		regime := int(regimeRaw) % 8
 		budget := 1 + int(budgetRaw)
 		src := rng.New(seed)
 		g := referenceGraph(n, density, src)
@@ -494,7 +533,7 @@ func FuzzRankSearchMatchesReference(f *testing.F) {
 		var p Prepared
 		p.Prepare(g, &ws)
 		got := rankSolve(&p, w, budget, &ws)
-		if want := refSolve(&p, w, budget, true); !reflect.DeepEqual(got, want) {
+		if want := refSolve(&p, w, budget, true); !sameBits(got, want) {
 			t.Fatalf("n=%d density=%v regime=%d budget=%d: rank-space %+v, id-space with rank-order bound %+v",
 				n, density, regime, budget, got, want)
 		}

@@ -58,6 +58,13 @@ type Workspace struct {
 	TrackSlack bool
 	Slack      float64
 
+	// BudgetStop reports whether the last Hybrid.SolvePrepared call's exact
+	// search stopped at the node budget, so that its set is the incumbent
+	// or the greedy set rather than a proven optimum. It is false when the
+	// search completed and when no search ran (instances above
+	// MaxExactNodes, invalid inputs).
+	BudgetStop bool
+
 	// greedy state
 	order   []int
 	removed []bool

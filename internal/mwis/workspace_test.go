@@ -305,6 +305,39 @@ func TestSolvePreparedValidation(t *testing.T) {
 	}
 }
 
+// TestSolvePreparedBudgetStop pins Workspace.BudgetStop: set by a search
+// that stops at its budget, and cleared by the next call whether its
+// search completes, no search runs (the greedy path) or the weights are
+// rejected.
+func TestSolvePreparedBudgetStop(t *testing.T) {
+	in := randomInstance(16, 0.3, rng.New(9))
+	var ws Workspace
+	var pre Prepared
+	pre.Prepare(in.G, &ws)
+	bad := append([]float64(nil), in.W...)
+	bad[0] = -1
+	for _, c := range []struct {
+		desc      string
+		h         Hybrid
+		w         []float64
+		want, err bool
+	}{
+		{"budget 1", Hybrid{Budget: 1}, in.W, true, false},
+		{"complete search", Hybrid{}, in.W, false, false},
+		{"budget 1 again", Hybrid{Budget: 1}, in.W, true, false},
+		{"greedy path", Hybrid{MaxExactNodes: 4}, in.W, false, false},
+		{"budget 1 once more", Hybrid{Budget: 1}, in.W, true, false},
+		{"negative weight", Hybrid{}, bad, false, true},
+	} {
+		if _, err := c.h.SolvePrepared(&pre, c.w, &ws); (err != nil) != c.err {
+			t.Fatalf("%s: error %v", c.desc, err)
+		}
+		if ws.BudgetStop != c.want {
+			t.Fatalf("%s: BudgetStop %v, want %v", c.desc, ws.BudgetStop, c.want)
+		}
+	}
+}
+
 // TestSolvePreparedNoAllocs asserts the prepared+workspace hot path is
 // allocation-free once warm, on an 18-vertex instance (the one-word search
 // body) and an 80-vertex one (the multi-word body), dense enough to solve

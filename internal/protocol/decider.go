@@ -43,6 +43,12 @@ type DecideStats struct {
 	SensitivitySkips int64
 	MemoStructHits   int64
 	MemoMisses       int64
+	// BudgetStops counts the local solves among those re-solves whose
+	// branch and bound stopped at its node budget
+	// (mwis.Workspace.BudgetStop, or mwis.ErrBudgetExceeded from another
+	// solver), so that the leader applied an incumbent or greedy set rather
+	// than a proven local optimum.
+	BudgetStops int64
 	// Communication totals summed over full decisions (the same quantities
 	// Result.Stats reports per decision).
 	MiniRounds         int64
@@ -80,6 +86,7 @@ func (s DecideStats) Sub(prev DecideStats) DecideStats {
 		SensitivitySkips:   s.SensitivitySkips - prev.SensitivitySkips,
 		MemoStructHits:     s.MemoStructHits - prev.MemoStructHits,
 		MemoMisses:         s.MemoMisses - prev.MemoMisses,
+		BudgetStops:        s.BudgetStops - prev.BudgetStops,
 		MiniRounds:         s.MiniRounds - prev.MiniRounds,
 		WeightBroadcasts:   s.WeightBroadcasts - prev.WeightBroadcasts,
 		LeaderDeclarations: s.LeaderDeclarations - prev.LeaderDeclarations,
@@ -781,6 +788,9 @@ func (d *Decider) localDecision(sc *decideScratch, v int, weights []float64) (wi
 		sc.ws.TrackSlack = true
 		localIS, err = d.hyb.SolvePrepared(&e.pre, w, &sc.ws)
 		e.slack = sc.ws.Slack
+		if sc.ws.BudgetStop {
+			d.stats.BudgetStops++
+		}
 	} else {
 		d.stats.MemoMisses++
 		e.cand = append(e.cand[:0], ar...)
@@ -789,6 +799,9 @@ func (d *Decider) localDecision(sc *decideScratch, v int, weights []float64) (wi
 		e.slack = 0 // no certificate off the prepared hybrid path
 		sub, _ := sc.arena.Induced(d.rt.ext.H, ar)
 		localIS, err = d.rt.solver.Solve(mwis.Instance{G: sub, W: w})
+		if errors.Is(err, mwis.ErrBudgetExceeded) {
+			d.stats.BudgetStops++
+		}
 	}
 	if err != nil && !errors.Is(err, mwis.ErrBudgetExceeded) {
 		return nil, nil, fmt.Errorf("protocol: local MWIS at leader %d: %w", v, err)

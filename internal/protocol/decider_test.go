@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -475,6 +476,87 @@ func TestDeciderStatsDelta(t *testing.T) {
 	}
 	if delta.MiniRounds <= 0 || delta.MiniTimeslots <= 0 {
 		t.Fatalf("delta %+v lost the communication totals", delta)
+	}
+}
+
+// budgetStopSolver returns solver's set, and also re-solves each instance
+// through mwis.Exact at Hybrid's default budget, counting the searches that
+// stop there: the oracle's count of budget stops.
+type budgetStopSolver struct {
+	solver mwis.Solver
+	stops  int64
+}
+
+func (s *budgetStopSolver) Solve(in mwis.Instance) ([]int, error) {
+	if _, err := (mwis.Exact{Budget: 50000}).Solve(in); errors.Is(err, mwis.ErrBudgetExceeded) {
+		s.stops++
+	}
+	return s.solver.Solve(in)
+}
+
+func (s *budgetStopSolver) Name() string { return s.solver.Name() }
+
+// TestDeciderCountsBudgetStops pins DecideStats.BudgetStops at the paper's
+// Fig. 6 size (100×5, target degree 6, r=2, D=4, seed 5): one decide under
+// all-2.0 weights, zhou-li's warm-up, where local searches run into the
+// budget (2 of 15 leaders' here), and one under continuous weights. It
+// runs the default Hybrid, which reports stops through the workspace, and
+// mwis.Exact at the same budget, which reports them as ErrBudgetExceeded.
+// A fresh Decider solves every leader it elects, so each decide's count
+// must equal the oracle's, which runs referenceDecide through
+// budgetStopSolver, and the decide itself must equal the oracle's. The
+// all-2.0 counts must be nonzero.
+func TestDeciderCountsBudgetStops(t *testing.T) {
+	nw, err := topology.Random(topology.RandomConfig{N: 100, TargetDegree: 6}, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := extgraph.Build(nw.G, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(1)
+	regimes := []struct {
+		name string
+		w    []float64
+	}{{"all 2.0", make([]float64, ext.K())}, {"continuous", make([]float64, ext.K())}}
+	for i := range regimes[0].w {
+		regimes[0].w[i] = 2.0
+		regimes[1].w[i] = src.Float64()
+	}
+	for _, solver := range []mwis.Solver{mwis.Hybrid{}, mwis.Exact{Budget: 50000}} {
+		rt, err := New(Config{Ext: ext, R: 2, D: 4, Solver: solver})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := &budgetStopSolver{solver: solver}
+		ort, err := New(Config{Ext: ext, R: 2, D: 4, Solver: oracle})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newReferenceRuntime(ort)
+		for _, reg := range regimes {
+			desc := solver.Name() + " " + reg.name
+			oracle.stops = 0
+			want, wantMessages, err := referenceDecide(ref, reg.w, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := rt.NewDecider()
+			got, err := dec.Decide(reg.w, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !matchesReference(want, wantMessages, got) {
+				t.Fatalf("%s: decider diverged from the reference:\n got %+v\nwant %+v", desc, got, want)
+			}
+			if stops := dec.Stats().BudgetStops; stops != oracle.stops {
+				t.Errorf("%s: %d budget stops, oracle %d", desc, stops, oracle.stops)
+			}
+			if reg.name == "all 2.0" && oracle.stops == 0 {
+				t.Errorf("%s: no budget stop", desc)
+			}
+		}
 	}
 }
 

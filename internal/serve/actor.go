@@ -504,6 +504,7 @@ func (a *actor) trackDecisions() func() {
 		a.counters.SensitivitySkips.Add(delta.SensitivitySkips)
 		a.counters.MemoStructHits.Add(delta.MemoStructHits)
 		a.counters.MemoMisses.Add(delta.MemoMisses)
+		a.counters.BudgetStops.Add(delta.BudgetStops)
 		a.counters.MiniRounds.Add(delta.MiniRounds)
 		a.counters.WeightBroadcasts.Add(delta.WeightBroadcasts)
 		a.counters.LeaderDeclarations.Add(delta.LeaderDeclarations)

@@ -119,6 +119,7 @@ func TestHTTPWorkflow(t *testing.T) {
 		"banditd_decide_leader_resolves_total",
 		"banditd_decide_memo_struct_hits_total",
 		"banditd_decide_memo_misses_total",
+		"banditd_decide_budget_stops_total",
 		"banditd_decide_mini_rounds_total",
 		"banditd_decide_mini_timeslots_total",
 		"banditd_artifact_cache_hits_total 1",

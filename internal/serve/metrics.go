@@ -39,6 +39,9 @@ type ShardCounters struct {
 	SensitivitySkips atomic.Int64
 	MemoStructHits   atomic.Int64
 	MemoMisses       atomic.Int64
+	// BudgetStops counts the leader re-solves whose branch and bound
+	// stopped at its node budget and applied an incumbent or greedy set.
+	BudgetStops atomic.Int64
 	// Protocol communication totals of the full decides hosted on the
 	// shard (the per-decision protocol.Stats quantities, summed).
 	MiniRounds         atomic.Int64
@@ -167,6 +170,8 @@ var shardFamilies = []shardFamily{
 		func(c *ShardCounters) *atomic.Int64 { return &c.MemoStructHits }},
 	{"banditd_decide_memo_misses_total", "Per-leader lookups that rebuilt the leader's instance.", obs.KindCounter,
 		func(c *ShardCounters) *atomic.Int64 { return &c.MemoMisses }},
+	{"banditd_decide_budget_stops_total", "Per-leader re-solves whose branch and bound stopped at its node budget (incumbent or greedy set applied, not a proven local optimum).", obs.KindCounter,
+		func(c *ShardCounters) *atomic.Int64 { return &c.BudgetStops }},
 	{"banditd_decide_mini_rounds_total", "Protocol mini-rounds run by full decides.", obs.KindCounter,
 		func(c *ShardCounters) *atomic.Int64 { return &c.MiniRounds }},
 	{"banditd_decide_weight_broadcasts_total", "Weight-broadcast messages of full decides.", obs.KindCounter,
