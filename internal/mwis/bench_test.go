@@ -4,14 +4,15 @@ import (
 	"testing"
 
 	"multihopbandit/internal/extgraph"
+	"multihopbandit/internal/graph"
 	"multihopbandit/internal/rng"
 	"multihopbandit/internal/topology"
 )
 
-// preparedBalls prepares the r=2 balls of more than minN vertices of the
-// extended graph of a random network: N=100 nodes of average degree 6
-// (seed 3) and m channels.
-func preparedBalls(tb testing.TB, m, minN int) []Prepared {
+// extendedBalls returns the extended graph of a random network, N=100
+// nodes of average degree 6 (seed 3) and m channels, with its adjacency
+// rows and its r=2 balls of more than minN vertices, each ascending.
+func extendedBalls(tb testing.TB, m, minN int) (*graph.Graph, [][]uint64, [][]int) {
 	nw, err := topology.Random(topology.RandomConfig{N: 100, TargetDegree: 6}, rng.New(3))
 	if err != nil {
 		tb.Fatal(err)
@@ -20,13 +21,30 @@ func preparedBalls(tb testing.TB, m, minN int) []Prepared {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var balls []Prepared
-	var prep Workspace
+	var balls [][]int
 	for v := 0; v < ext.K(); v++ {
-		sub, _ := ext.H.InducedSubgraph(ext.H.Ball(v, 2))
-		if sub.N() > minN {
-			balls = append(balls, Prepared{})
-			balls[len(balls)-1].Prepare(sub, &prep)
+		if ball := ext.H.Ball(v, 2); len(ball) > minN {
+			balls = append(balls, ball)
+		}
+	}
+	return ext.H, adjacencyRows(ext.H), balls
+}
+
+// preparedBalls prepares extendedBalls' balls as the decider prepares a
+// memo miss, with PrepareInduced over the extended graph's adjacency rows.
+// It also prepares each with Prepare of its InducedSubgraph, and fails
+// unless the two agree.
+func preparedBalls(tb testing.TB, m, minN int) []Prepared {
+	h, rows, vs := extendedBalls(tb, m, minN)
+	balls := make([]Prepared, len(vs))
+	var ws Workspace
+	for k := range vs {
+		balls[k].PrepareInduced(rows, vs[k], &ws)
+		sub, _ := h.InducedSubgraph(vs[k])
+		var want Prepared
+		want.Prepare(sub, &ws)
+		if diff := preparedDiff(&balls[k], &want); diff != "" {
+			tb.Fatalf("m=%d ball %d: %s", m, k, diff)
 		}
 	}
 	return balls
@@ -98,6 +116,29 @@ func BenchmarkSolvePrepared(b *testing.B) {
 			}
 			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 			b.ReportMetric(float64(sums)/float64(b.N), "exact/op")
+		})
+	}
+}
+
+// BenchmarkPrepareInduced times Prepared.PrepareInduced, the decider's
+// preparation of a memo miss, over the extended graph's adjacency rows.
+// Each op prepares the next ball in turn into one reused Prepared: "fig6"
+// takes every r=2 ball of the Fig. 6-size network (M=5), "wide" the balls
+// of more than 64 vertices at M=10 (Fig. 8's size), as in solveCases.
+func BenchmarkPrepareInduced(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		m, minN int
+	}{{"fig6", 5, 0}, {"wide", 10, 64}} {
+		_, rows, balls := extendedBalls(b, bc.m, bc.minN)
+		b.Run(bc.name, func(b *testing.B) {
+			var ws Workspace
+			var p Prepared
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.PrepareInduced(rows, balls[i%len(balls)], &ws)
+			}
 		})
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"multihopbandit/internal/graph"
@@ -276,7 +275,11 @@ func (ws *Workspace) exact(p *Prepared, w []float64, budget int, track bool) ([]
 	st.adj = take(n)
 	for r, v := range order {
 		row := st.adj[r*words : (r+1)*words]
-		p.adj[v].forEach(func(u int) { row.set(rank[u]) })
+		for wi, word := range p.row(v) {
+			for ; word != 0; word &= word - 1 {
+				row.set(rank[wi*64+bits.TrailingZeros64(word)])
+			}
+		}
 	}
 	cliques := take(p.ncliques)
 	for r, v := range order {
@@ -313,54 +316,6 @@ func (ws *Workspace) exact(p *Prepared, w []float64, budget int, track bool) ([]
 	ids.forEach(func(v int) { out = append(out, v) })
 	ws.eout = out
 	return out, exhausted
-}
-
-// greedyCliquePartition assigns each vertex to a clique: scan vertices in
-// decreasing-degree order (ties toward the lower id); each unassigned vertex
-// starts a clique and pulls in unassigned neighbors adjacent to every
-// current member. The order, partition and member buffers come from ws.
-func greedyCliquePartition(g *graph.Graph, ws *Workspace) []int {
-	n := g.N()
-	clique := growInts(&ws.clique, n)
-	order := growInts(&ws.order, n)
-	for i := range clique {
-		clique[i] = -1
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		if da, db := g.Degree(a), g.Degree(b); da != db {
-			return db - da
-		}
-		return a - b
-	})
-	members := ws.members[:0]
-	next := 0
-	for _, v := range order {
-		if clique[v] >= 0 {
-			continue
-		}
-		clique[v] = next
-		members = append(members[:0], v)
-		for _, u := range g.Neighbors(v) {
-			if clique[u] >= 0 {
-				continue
-			}
-			ok := true
-			for _, m := range members {
-				if !g.HasEdge(u, m) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				clique[u] = next
-				members = append(members, u)
-			}
-		}
-		next++
-	}
-	ws.members = members[:0]
-	return clique
 }
 
 // upperBound sums, per clique, the heaviest remaining vertex: an independent

@@ -10,22 +10,22 @@ import (
 )
 
 // Prepared is the weight-independent preprocessing of one MWIS graph: its
-// adjacency as bitsets and the greedy clique partition the exact solver's
-// upper bound uses. Both depend only on the graph structure, so a caller
-// that repeatedly solves the same graph under drifting weights (the
-// protocol decider: a LocalLeader's candidate ball usually keeps its shape
-// between decisions while the index weights move) prepares once and pays
-// per solve only for relabelling them by weight and for the branch and
-// bound.
+// adjacency as bitset rows and the greedy clique partition the exact
+// solver's upper bound uses. Both depend only on the graph structure, so a
+// caller that solves the same graph under drifting weights prepares once
+// and pays per solve only for relabelling them by weight and for the branch
+// and bound. The protocol decider keeps one per leader, but a leader's
+// candidate ball often changes between its decisions: on paper-scale
+// about half of the local solves are memo misses that prepare anew, which
+// PrepareInduced serves from the runtime's adjacency rows.
 //
 // A Prepared owns its storage — it stays valid even when the graph it was
-// prepared from lives in reused arena memory. Prepare reuses the previous
-// storage where capacities allow.
+// prepared from lives in reused arena memory. Prepare and PrepareInduced
+// reuse the previous storage where capacities allow.
 type Prepared struct {
 	n        int
 	words    int
-	adj      []bitset
-	arena    bitset
+	arena    bitset // row v, v's neighbours, is arena[v*words:(v+1)*words]
 	clique   []int
 	ncliques int
 
@@ -43,10 +43,62 @@ type Prepared struct {
 // N returns the prepared graph's vertex count.
 func (p *Prepared) N() int { return p.n }
 
+// row returns vertex v's adjacency row.
+func (p *Prepared) row(v int) bitset {
+	return p.arena[v*p.words : (v+1)*p.words : (v+1)*p.words]
+}
+
 // Prepare fills p from g, replacing any previous preparation. The
-// workspace supplies the clique-partition scratch.
+// workspace supplies the clique partition's scratch.
 func (p *Prepared) Prepare(g *graph.Graph, ws *Workspace) {
-	n := g.N()
+	p.reset(g.N())
+	for v := 0; v < p.n; v++ {
+		row := p.row(v)
+		for _, u := range g.Neighbors(v) {
+			row.set(u)
+		}
+	}
+	p.partition(ws)
+}
+
+// PrepareInduced fills p with the subgraph that vs induces in a parent
+// graph given by its adjacency rows (bit u of rows[v] is set iff u and v
+// are adjacent), replacing any previous preparation. vs must be ascending
+// and duplicate-free. Vertex i of the result is vs[i], the vertex order
+// of the parent's InducedSubgraph(vs), and p is what Prepare of that
+// subgraph gives, without building it: row i is rows[vs[i]] masked to the
+// ball, each surviving bit renumbered to its local id. The workspace
+// supplies the mask, the renumbering and the clique partition's scratch.
+func (p *Prepared) PrepareInduced(rows [][]uint64, vs []int, ws *Workspace) {
+	p.reset(len(vs))
+	if p.n > 0 {
+		// Both buffers span the parent, so that a workspace allocates
+		// them once. ws.ball is all-zero between calls, and ws.local is
+		// read only at the ball's bits, which this call has just written.
+		if len(ws.ball) < len(rows[vs[0]]) {
+			ws.ball = make(bitset, len(rows[vs[0]]))
+		}
+		ball, local := ws.ball, growInts(&ws.local, len(rows))
+		lo, hi := vs[0]/64, vs[p.n-1]/64
+		for i, v := range vs {
+			ball.set(v)
+			local[v] = i
+		}
+		for i, v := range vs {
+			row, parent := p.row(i), rows[v]
+			for wi := lo; wi <= hi; wi++ {
+				for word := parent[wi] & ball[wi]; word != 0; word &= word - 1 {
+					row.set(local[wi*64+bits.TrailingZeros64(word)])
+				}
+			}
+		}
+		clear(ball[lo : hi+1])
+	}
+	p.partition(ws)
+}
+
+// reset sizes p for n vertices with every row empty.
+func (p *Prepared) reset(n int) {
 	p.n = n
 	p.words = (n + 63) / 64
 	need := n * p.words
@@ -54,43 +106,76 @@ func (p *Prepared) Prepare(g *graph.Graph, ws *Workspace) {
 		p.arena = make(bitset, need)
 	}
 	p.arena = p.arena[:need]
-	for i := range p.arena {
-		p.arena[i] = 0
-	}
-	p.adj = growInts2(&p.adj, n)
-	for v := 0; v < n; v++ {
-		row := p.arena[v*p.words : (v+1)*p.words : (v+1)*p.words]
-		for _, u := range g.Neighbors(v) {
-			row.set(u)
+	clear(p.arena)
+}
+
+// partition fills p's greedy clique partition from its rows, and nodeBound
+// from the partition. It scans the vertices by degree descending, ties
+// toward the lower id, through a counting sort: the one permutation any
+// sort under that total order gives. Each unassigned vertex v starts a
+// clique whose candidates are its unassigned neighbours; they are taken in
+// ascending id, and each one that joins keeps only the candidates adjacent
+// to it. A neighbour thus joins iff it is unassigned and adjacent to every
+// earlier member, the test of the list walk this replaced (kept as
+// referenceCliquePartition in the tests), so the partition is the same.
+func (p *Prepared) partition(ws *Workspace) {
+	n, words := p.n, p.words
+	degree := growInts(&ws.degree, n)
+	// start[d] counts the vertices of degree d, then becomes where their
+	// run begins in the order: degree n first, ids ascending in each run.
+	start := growInts(&ws.start, n+1)
+	clear(start)
+	for v := range degree {
+		d := 0
+		for _, word := range p.row(v) {
+			d += bits.OnesCount64(word)
 		}
-		p.adj[v] = row
+		degree[v] = d
+		start[d]++
 	}
-	p.clique = append(p.clique[:0], greedyCliquePartition(g, ws)...)
+	for d, pos := n, 0; d >= 0; d-- {
+		pos, start[d] = pos+start[d], pos
+	}
+	order := growInts(&ws.order, n)
+	for v, d := range degree {
+		order[start[d]] = v
+		start[d]++
+	}
+	clique := growInts(&p.clique, n)
+	sets := growBitset(&ws.cover, 2*words)
+	assigned, common := sets[:words], sets[words:]
+	clear(assigned)
+	// prod is Π(|c|+1) over the cliques so far, or 0 once 2·prod − 1
+	// would overflow.
 	p.ncliques = 0
-	for _, c := range p.clique {
-		if c+1 > p.ncliques {
-			p.ncliques = c + 1
+	prod := 1
+	for _, v := range order {
+		if assigned[v/64]&(1<<(uint(v)%64)) != 0 {
+			continue
+		}
+		c := p.ncliques
+		p.ncliques++
+		clique[v] = c
+		assigned.set(v)
+		p.row(v).andNotInto(assigned, common)
+		size := 1
+		for u := common.next(0); u >= 0; u = common.next(u + 1) {
+			clique[u] = c
+			assigned.set(u)
+			size++
+			for i, word := range p.row(u) {
+				common[i] &= word
+			}
+		}
+		if prod > 0 && prod <= (math.MaxInt-1)/2/(size+1) {
+			prod *= size + 1
+		} else {
+			prod = 0
 		}
 	}
-	sizes := growInts(&ws.order, p.ncliques)
-	for i := range sizes {
-		sizes[i] = 0
-	}
-	for _, c := range p.clique {
-		sizes[c]++
-	}
-	prod, ok := 1, true
-	for _, s := range sizes {
-		if prod > (math.MaxInt-1)/2/(s+1) {
-			ok = false
-			break
-		}
-		prod *= s + 1
-	}
-	if ok {
+	p.nodeBound = math.MaxInt
+	if prod > 0 {
 		p.nodeBound = 2*prod - 1
-	} else {
-		p.nodeBound = math.MaxInt
 	}
 }
 
@@ -202,7 +287,7 @@ func greedyPrepared(p *Prepared, w []float64, ws *Workspace) []int {
 		}
 		out = append(out, v)
 		removed[v] = true
-		for wi, word := range p.adj[v] {
+		for wi, word := range p.row(v) {
 			for word != 0 {
 				removed[wi*64+bits.TrailingZeros64(word)] = true
 				word &= word - 1

@@ -21,7 +21,9 @@ import (
 //     prepared paths (TestSolveWorkspaceMatchesSolve,
 //     TestSolvePreparedMatchesSolve);
 //   - the id-space branch and bound, for the rank-space search
-//     (TestRankSearchMatchesReference).
+//     (TestRankSearchMatchesReference);
+//   - the list-based greedy clique partition, for the bitset partition
+//     of Prepare and PrepareInduced (checkPreparation).
 //
 // referenceGreedySolve and referenceHybridSolve are the Greedy.Solve and
 // Hybrid.Solve bodies verbatim, except for their names and the Hybrid body
@@ -312,8 +314,12 @@ type refResult struct {
 // tracking both certificates.
 func refSolve(p *Prepared, w []float64, budget int, sumByRank bool) refResult {
 	n, words := p.n, p.words
+	adj := make([]bitset, n)
+	for v := range adj {
+		adj[v] = p.row(v)
+	}
 	st := &refSearch{
-		n: n, adj: p.adj, w: w, clique: p.clique, ncliques: p.ncliques,
+		n: n, adj: adj, w: w, clique: p.clique, ncliques: p.ncliques,
 		budget: budget, track: true, slack: math.Inf(1), sumByRank: sumByRank,
 		cliqueMax: make([]float64, p.ncliques),
 		best:      newBitset(n),
@@ -345,6 +351,166 @@ func rankSolve(p *Prepared, w []float64, budget int, ws *Workspace) refResult {
 	set, exhausted := ws.exact(p, w, budget, true)
 	st := &ws.st
 	return refResult{append([]int(nil), set...), exhausted, budget - st.budget, st.slack, st.bestW - st.u}
+}
+
+// referenceCliquePartition is the list-based greedy clique partition that
+// Prepared.partition replaced, verbatim except for its name and its
+// buffers, which it allocates where the original drew them from a
+// Workspace: scan vertices in decreasing-degree order (ties toward the
+// lower id); each unassigned vertex starts a clique and pulls in
+// unassigned neighbors adjacent to every current member.
+func referenceCliquePartition(g *graph.Graph) []int {
+	n := g.N()
+	clique := make([]int, n)
+	order := make([]int, n)
+	for i := range clique {
+		clique[i] = -1
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if da, db := g.Degree(a), g.Degree(b); da != db {
+			return db - da
+		}
+		return a - b
+	})
+	var members []int
+	next := 0
+	for _, v := range order {
+		if clique[v] >= 0 {
+			continue
+		}
+		clique[v] = next
+		members = append(members[:0], v)
+		for _, u := range g.Neighbors(v) {
+			if clique[u] >= 0 {
+				continue
+			}
+			ok := true
+			for _, m := range members {
+				if !g.HasEdge(u, m) {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				clique[u] = next
+				members = append(members, u)
+			}
+		}
+		next++
+	}
+	return clique
+}
+
+// adjacencyRows returns g's adjacency as bitset rows of one length, the
+// form the protocol runtime keeps H in: bit u of row v is set iff u and v
+// are adjacent.
+func adjacencyRows(g *graph.Graph) [][]uint64 {
+	words := (g.N() + 63) / 64
+	rows := make([][]uint64, g.N())
+	for v := range rows {
+		rows[v] = make([]uint64, words)
+		for _, u := range g.Neighbors(v) {
+			rows[v][u/64] |= 1 << (uint(u) % 64)
+		}
+	}
+	return rows
+}
+
+// preparedDiff describes how two preparations differ in their rows,
+// cliques, clique count or node bound, or returns "" when they agree.
+func preparedDiff(a, b *Prepared) string {
+	switch {
+	case a.n != b.n || a.words != b.words:
+		return fmt.Sprintf("%d vertices in %d words, want %d in %d", a.n, a.words, b.n, b.words)
+	case !slices.Equal(a.arena, b.arena):
+		return fmt.Sprintf("rows %x, want %x", a.arena, b.arena)
+	case !slices.Equal(a.clique, b.clique):
+		return fmt.Sprintf("cliques %v, want %v", a.clique, b.clique)
+	case a.ncliques != b.ncliques || a.nodeBound != b.nodeBound:
+		return fmt.Sprintf("%d cliques, node bound %d; want %d, %d", a.ncliques, a.nodeBound, b.ncliques, b.nodeBound)
+	}
+	return ""
+}
+
+// checkInduced checks q.PrepareInduced over g's adjacency rows on the
+// ascending vertex set vs against Prepare of the subgraph vs induces.
+// Reusing one q and one ws across calls checks that neither carries
+// anything over from the previous preparation.
+func checkInduced(t testing.TB, desc string, g *graph.Graph, vs []int, q *Prepared, ws *Workspace) {
+	q.PrepareInduced(adjacencyRows(g), vs, ws)
+	sub, _ := g.InducedSubgraph(vs)
+	var want Prepared
+	want.Prepare(sub, ws)
+	if diff := preparedDiff(q, &want); diff != "" {
+		t.Fatalf("%s: PrepareInduced on %d of %d vertices: %s", desc, len(vs), g.N(), diff)
+	}
+}
+
+// checkPreparation checks p, prepared from g, against the list-based
+// partition, and then checkInduced on a subset of g's vertices that src
+// draws: each vertex kept with one probability drawn uniformly.
+func checkPreparation(t testing.TB, desc string, g *graph.Graph, p, q *Prepared, src *rng.Source, ws *Workspace) {
+	if want := referenceCliquePartition(g); !slices.Equal(p.clique, want) {
+		t.Fatalf("%s: clique partition %v, list-based %v", desc, p.clique, want)
+	}
+	keep := src.Float64()
+	var vs []int
+	for v := 0; v < g.N(); v++ {
+		if src.Float64() < keep {
+			vs = append(vs, v)
+		}
+	}
+	checkInduced(t, desc, g, vs, q, ws)
+}
+
+// TestPrepareInducedEdgeCases runs checkPreparation's two checks on fixed
+// cases: an empty ball, a singleton in the parent's second word, a
+// complete graph (one clique), a ball of the parent's second word only,
+// and balls of 63, 64 and 65 vertices of a two-word parent, across the
+// one-word boundary of the prepared rows.
+func TestPrepareInducedEdgeCases(t *testing.T) {
+	var ws Workspace
+	var p, q Prepared
+	const parentN = 120
+	parent := referenceGraph(parentN, 0.3, rng.New(7))
+	complete := referenceGraph(9, 1, rng.New(8))
+	src := rng.New(9)
+	subset := func(k int) []int {
+		vs := src.Perm(parentN)[:k]
+		slices.Sort(vs)
+		return vs
+	}
+	var second []int
+	for v := 64; v < parentN; v++ {
+		second = append(second, v)
+	}
+	for _, g := range []*graph.Graph{parent, complete} {
+		p.Prepare(g, &ws)
+		if want := referenceCliquePartition(g); !slices.Equal(p.clique, want) {
+			t.Fatalf("%d vertices: clique partition %v, list-based %v", g.N(), p.clique, want)
+		}
+	}
+	if p.ncliques != 1 || p.nodeBound != 2*10-1 {
+		t.Fatalf("complete graph: %d cliques, node bound %d; want 1, 19", p.ncliques, p.nodeBound)
+	}
+	for _, c := range []struct {
+		desc string
+		g    *graph.Graph
+		vs   []int
+	}{
+		{"empty", parent, nil},
+		{"singleton", parent, []int{77}},
+		{"complete", complete, []int{0, 1, 2, 3, 4, 5, 6, 7, 8}},
+		{"complete, part", complete, []int{1, 3, 4, 8}},
+		{"second word", parent, second},
+		{"63 of 120", parent, subset(63)},
+		{"64 of 120", parent, subset(64)},
+		{"65 of 120", parent, subset(65)},
+		{"all 120", parent, subset(parentN)},
+	} {
+		checkInduced(t, c.desc, c.g, c.vs, &q, &ws)
+	}
 }
 
 // referenceWeights draws one weight vector from the given regime.
@@ -417,7 +583,9 @@ func referenceGraph(n int, density float64, src *rng.Source) *graph.Graph {
 }
 
 // TestRankSearchMatchesReference pins the rank-space search to the id-space
-// one on seeded random instances: 1–130 vertices (one to three bitset
+// one, and on every graph checks the preparation (checkPreparation, on a
+// vertex subset drawn from a stream of its own), on seeded random
+// instances: 1–130 vertices (one to three bitset
 // words), densities from sparse to dense, weight regimes 0–5, budgets from
 // 1 to 300 and at 20,000 and 50,000. Then, at n = 63, 64 and 65, the last
 // sizes of the one-word body and the first of the multi-word body, it runs
@@ -439,10 +607,12 @@ func referenceGraph(n int, density float64, src *rng.Source) *graph.Graph {
 func TestRankSearchMatchesReference(t *testing.T) {
 	const trials = 1500
 	var ws Workspace
-	var p Prepared
+	var p, q Prepared
+	subsets := rng.New(2014)
 	compared := 0
 	check := func(desc string, g *graph.Graph, w []float64, budget int, diverging bool) {
 		p.Prepare(g, &ws)
+		checkPreparation(t, desc, g, &p, &q, subsets, &ws)
 		got := rankSolve(&p, w, budget, &ws)
 		if alt := refSolve(&p, w, budget, true); !reflect.DeepEqual(got, alt) {
 			t.Fatalf("%s: rank-space %+v, id-space with rank-order bound %+v", desc, got, alt)
@@ -501,6 +671,7 @@ func TestRankSearchMatchesReference(t *testing.T) {
 		w := referenceWeights(regime, n, src)
 		budget := []int{1 + src.Intn(300), 20000, 50000}[src.Intn(3)]
 		p.Prepare(g, &ws)
+		checkPreparation(t, fmt.Sprintf("extreme trial %d", trial), g, &p, &q, subsets, &ws)
 		got := rankSolve(&p, w, budget, &ws)
 		if want := refSolve(&p, w, budget, true); !sameBits(got, want) {
 			t.Fatalf("extreme trial %d (n=%d density=%v regime=%d budget=%d): rank-space %+v, id-space with rank-order bound %+v",
@@ -512,7 +683,10 @@ func TestRankSearchMatchesReference(t *testing.T) {
 // FuzzRankSearchMatchesReference fuzzes TestRankSearchMatchesReference's
 // first oracle: the rank-space search must agree bit for bit with the
 // id-space search whose bound is summed in rank order (set, exhaustion,
-// node count, slack and gap). The inputs choose the graph's seed, n in
+// node count, slack and gap). It also checks the preparation
+// (checkPreparation), on a vertex subset drawn from the seed's "subset"
+// split, a stream apart from the graph's and the weights'. The inputs
+// choose the graph's seed, n in
 // 1–130, the edge density (densityRaw/255), a weight regime of
 // referenceWeights (regimeRaw % 8) and a budget in 1–65,536. Floats are
 // compared by bit pattern (sameBits). The committed corpus under
@@ -530,8 +704,9 @@ func FuzzRankSearchMatchesReference(f *testing.F) {
 		g := referenceGraph(n, density, src)
 		w := referenceWeights(regime, n, src)
 		var ws Workspace
-		var p Prepared
+		var p, q Prepared
 		p.Prepare(g, &ws)
+		checkPreparation(t, fmt.Sprintf("n=%d density=%v", n, density), g, &p, &q, rng.New(seed).Split("subset"), &ws)
 		got := rankSolve(&p, w, budget, &ws)
 		if want := refSolve(&p, w, budget, true); !sameBits(got, want) {
 			t.Fatalf("n=%d density=%v regime=%d budget=%d: rank-space %+v, id-space with rank-order bound %+v",

@@ -78,9 +78,16 @@ type Workspace struct {
 	arena     bitset
 	depthBufs [][3]bitset
 	eout      []int
-	// clique-partition state (shared by greedy bound construction)
-	clique  []int
-	members []int
+	// Prepared.PrepareInduced state: the ball as a mask over the parent's
+	// ids, all-zero between calls, and each ball vertex's local id
+	ball  bitset
+	local []int
+	// clique-partition state: each vertex's degree, the counting sort's
+	// run starts (the scan order itself lives in order), and the assigned
+	// and common-neighbour sets
+	degree []int
+	start  []int
+	cover  bitset
 }
 
 // growInts resizes *s to length n, reusing capacity.
@@ -92,10 +99,10 @@ func growInts(s *[]int, n int) []int {
 	return *s
 }
 
-// growInts2 resizes *s to length n, reusing capacity.
-func growInts2(s *[]bitset, n int) []bitset {
+// growBitset resizes *s to length n, reusing capacity.
+func growBitset(s *bitset, n int) bitset {
 	if cap(*s) < n {
-		*s = make([]bitset, n)
+		*s = make(bitset, n)
 	}
 	*s = (*s)[:n]
 	return *s
@@ -133,9 +140,29 @@ func growBools(s *[]bool, n int) []bool {
 }
 
 // sortByWeight orders vertex ids by decreasing weight, ties toward the
-// lower id: Greedy.Solve's comparator, which is a total order on ids with
-// non-NaN weights, so every sorting algorithm yields the same permutation.
+// lower id, weights compared as floats (so −0 ties +0): Greedy.Solve's
+// comparator, which is a total order on ids with non-NaN weights, so every
+// sorting algorithm yields the same permutation. Up to 64 ids, the balls
+// the one-word search body takes, an inline insertion sort makes no
+// function call. Longer orders, up to Exact over all of H, keep
+// slices.SortFunc: insertion's cost grows with the square of the length.
 func sortByWeight(order []int, w []float64) {
+	if len(order) <= 64 {
+		for i := 1; i < len(order); i++ {
+			v := order[i]
+			wv := w[v]
+			j := i
+			for ; j > 0; j-- {
+				u := order[j-1]
+				if w[u] > wv || w[u] == wv && u < v {
+					break
+				}
+				order[j] = u
+			}
+			order[j] = v
+		}
+		return
+	}
 	slices.SortFunc(order, func(a, b int) int {
 		switch {
 		case w[a] > w[b]:

@@ -341,7 +341,9 @@ func TestSolvePreparedBudgetStop(t *testing.T) {
 // TestSolvePreparedNoAllocs asserts the prepared+workspace hot path is
 // allocation-free once warm, on an 18-vertex instance (the one-word search
 // body) and an 80-vertex one (the multi-word body), dense enough to solve
-// quickly.
+// quickly. It then asserts the same of the decider's memo-miss cycle,
+// PrepareInduced over a parent's adjacency rows and a certified
+// SolvePrepared, on balls of 18 and 80 vertices.
 func TestSolvePreparedNoAllocs(t *testing.T) {
 	for _, in := range []Instance{randomInstance(18, 0.25, rng.New(13)), randomInstance(80, 0.3, rng.New(14))} {
 		var ws Workspace
@@ -356,6 +358,87 @@ func TestSolvePreparedNoAllocs(t *testing.T) {
 			}
 		}); got != 0 {
 			t.Errorf("%d vertices: warmed prepared solve allocates %.1f times, want 0", in.G.N(), got)
+		}
+	}
+	for _, c := range []struct {
+		n       int
+		density float64
+		seed    int64
+	}{{18, 0.25, 15}, {80, 0.3, 16}} {
+		// The ball is every other vertex of a parent twice its size.
+		parent := randomInstance(2*c.n, c.density, rng.New(c.seed))
+		rows := adjacencyRows(parent.G)
+		vs, w := make([]int, c.n), make([]float64, c.n)
+		for i := range vs {
+			vs[i], w[i] = 2*i, parent.W[2*i]
+		}
+		ws := Workspace{TrackSlack: true}
+		var pre Prepared
+		cycle := func() {
+			pre.PrepareInduced(rows, vs, &ws)
+			if _, err := (Hybrid{}).SolvePrepared(&pre, w, &ws); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle()
+		if got := testing.AllocsPerRun(100, cycle); got != 0 {
+			t.Errorf("%d-vertex ball: warmed PrepareInduced + SolvePrepared allocates %.1f times, want 0", c.n, got)
+		}
+	}
+}
+
+// TestSortByWeightMatchesSortFunc pins sortByWeight, whose orders of at
+// most 64 ids take an insertion sort, to slices.SortFunc under the
+// comparator it always had: weight descending, ties toward the lower id,
+// compared as floats. Lengths run on both sides of the 64 cutoff, in four
+// regimes (all weights equal, +0 and −0, 1-ulp near-ties, continuous),
+// from the identity order the solvers start from and from a shuffled one.
+func TestSortByWeightMatchesSortFunc(t *testing.T) {
+	src := rng.New(17)
+	regimes := []struct {
+		name string
+		draw func() float64
+	}{
+		{"equal", func() float64 { return 2.0 }},
+		{"signed zeros", func() float64 { return []float64{0, math.Copysign(0, -1)}[src.Intn(2)] }},
+		{"1-ulp near-ties", func() float64 {
+			x := 0.75
+			for k := src.Intn(3); k > 0; k-- {
+				x = math.Nextafter(x, 2)
+			}
+			return x
+		}},
+		{"continuous", src.Float64},
+	}
+	for _, n := range []int{0, 1, 2, 5, 33, 63, 64, 65, 100, 130} {
+		for _, r := range regimes {
+			w := make([]float64, n)
+			for i := range w {
+				w[i] = r.draw()
+			}
+			for _, shuffled := range []bool{false, true} {
+				got := make([]int, n)
+				for i := range got {
+					got[i] = i
+				}
+				if shuffled {
+					src.Shuffle(n, func(i, j int) { got[i], got[j] = got[j], got[i] })
+				}
+				want := slices.Clone(got)
+				slices.SortFunc(want, func(a, b int) int {
+					switch {
+					case w[a] > w[b]:
+						return -1
+					case w[a] < w[b]:
+						return 1
+					}
+					return a - b
+				})
+				sortByWeight(got, w)
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d %s shuffled=%v: %v, want %v", n, r.name, shuffled, got, want)
+				}
+			}
 		}
 	}
 }

@@ -157,7 +157,9 @@ type memoEntry struct {
 }
 
 // decideScratch is the per-decide mutable state a full decision needs: the
-// MWIS workspace, the induced-subgraph arena, and every per-vertex buffer.
+// MWIS workspace, the induced-subgraph arena that only non-Hybrid solvers
+// use (the Hybrid path prepares its balls from the runtime's adjacency
+// rows), and every per-vertex buffer.
 // It carries no decision history — everything in it is (re)written before
 // use — so any decider over the same runtime can borrow any scratch.
 // The vertex statuses live in two bitsets, cand (the Candidates) and won
@@ -167,8 +169,8 @@ type memoEntry struct {
 // reads out).
 type decideScratch struct {
 	ws         mwis.Workspace
-	arena      graph.SubgraphArena
-	moved      []int // rankOrder's merge buffer
+	arena      graph.SubgraphArena // non-Hybrid solvers' balls
+	moved      []int               // rankOrder's merge buffer
 	leaders    []int
 	declared   []int     // every leader of the decide, in declaration order
 	roundW     []float64 // WeightByMiniRound, copied out at finalize
@@ -241,10 +243,10 @@ func (a *DecideArena) put(sc *decideScratch) { a.pool.Put(sc) }
 // queueing and every hosted instance decide through it. It keeps
 // per-consumer state alive across decisions:
 //
-//   - scratch buffers (status bitsets, leader lists, candidate sets) and a
-//     graph.SubgraphArena + mwis.Workspace, so a steady-state full decision
-//     allocates only its published Result (optionally borrowed per decide
-//     from a shared DecideArena);
+//   - scratch buffers (status bitsets, leader lists, candidate sets), an
+//     mwis.Workspace, and a graph.SubgraphArena for non-Hybrid solvers'
+//     balls, so a steady-state full decision allocates only its published
+//     Result (optionally borrowed per decide from a shared DecideArena);
 //   - a weight-epoch cache: when the weight vector and previous-strategy
 //     set equal the previous call's, the cached Result is returned without
 //     running the protocol (the distributed system would broadcast no
@@ -761,7 +763,7 @@ func (d *Decider) localDecision(sc *decideScratch, v int, weights []float64) (wi
 
 	// Gather the candidate weights (vertex i of the local instance is
 	// ar[i]: ar is ascending — read off the ball row in bit order — which
-	// is exactly the vertex order Induced produces).
+	// is exactly the vertex order PrepareInduced and Induced produce).
 	w := sc.w[:0]
 	for _, u := range ar {
 		w = append(w, weights[u])
@@ -771,14 +773,13 @@ func (d *Decider) localDecision(sc *decideScratch, v int, weights []float64) (wi
 	var localIS []int
 	if d.hasHyb {
 		// Hybrid solver: solve over the leader's prepared structure,
-		// rebuilding it only when the candidate set changed. The solve
-		// carries the slack certificate so the next lookups can skip
-		// under bounded drift; certification never changes the result
-		// (TestSlackTrackingDoesNotChangeResults).
+		// rebuilding it from the adjacency rows only when the candidate
+		// set changed. The solve carries the slack certificate so the
+		// next lookups can skip under bounded drift; certification never
+		// changes the result (TestSlackTrackingDoesNotChangeResults).
 		if !structMatch {
 			d.stats.MemoMisses++
-			sub, _ := sc.arena.Induced(d.rt.ext.H, ar)
-			e.pre.Prepare(sub, &sc.ws)
+			e.pre.PrepareInduced(d.rt.adjBits, ar, &sc.ws)
 			e.cand = append(e.cand[:0], ar...)
 			e.preValid = true
 			e.valid = false

@@ -81,7 +81,8 @@ type Runtime struct {
 
 	// Per-vertex bitset rows over one arena each, bit u of row v set iff
 	// u belongs to v's set: the adjacency of H, which Deciders use for
-	// O(n/64) winner-independence verification, and the hop balls
+	// O(n/64) winner-independence verification and to prepare each
+	// leader's ball for the Hybrid solver, and the hop balls
 	// J_{H,r}(v), J_{H,2r+1}(v) and J_{H,3r+2}(v) (the LB broadcast
 	// radius). Hop distance is symmetric, so every ball matrix is too: u is
 	// in v's row iff v is in u's.
