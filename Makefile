@@ -12,7 +12,7 @@ BANDITD_BINARY_ADDR ?= 127.0.0.1:8660
 # Fig. 7 replication) through the shared slot kernel.
 GOLDEN_ARGS = -exp all -seed 1 -slots 300 -periods 40 -reps 3
 
-.PHONY: all build fmt-check vet test race stackbench-test fuzz-smoke bench bench-smoke bench-serve bench-sim bench-wal bench-obs bench-cluster serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke verify-golden update-golden figures ci
+.PHONY: all build fmt-check vet test race stackbench-test fuzz-smoke bench bench-smoke bench-dist serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke dist-smoke verify-golden update-golden figures ci
 
 # Committed ScenarioSpec files driven by spec-smoke: one per channel kind
 # (gaussian, gilbert-elliott, shifting) plus the primary-user wrapper.
@@ -62,19 +62,6 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=NONE -timeout 30m ./...
 
-# Serve load test: start banditd (with the debug plane so the summary
-# picks up the per-phase decide breakdown), drive it with banditload over
-# loopback, record the machine-readable summary in BENCH_serve.json, then
-# assert the daemon shuts down cleanly on SIGTERM.
-bench-serve:
-	$(GO) build -o bin/banditd ./cmd/banditd
-	$(GO) build -o bin/banditload ./cmd/banditload
-	@set -e; bin/banditd -addr $(BANDITD_ADDR) -debug-addr $(BANDITD_DEBUG_ADDR) & pid=$$!; \
-	bin/banditload -addr http://$(BANDITD_ADDR) -duration 5s \
-		-json BENCH_serve.json -min-throughput 1 \
-		|| { kill -TERM $$pid 2>/dev/null; exit 1; }; \
-	kill -TERM $$pid; wait $$pid
-
 # CI smoke: the same loop built with the race detector, shorter and with a
 # nonzero-throughput assertion. A race or an unclean shutdown fails it.
 serve-smoke:
@@ -99,12 +86,6 @@ spec-smoke:
 		-min-throughput 1 -min-mwis 1 \
 		|| { kill -TERM $$pid 2>/dev/null; exit 1; }; \
 	kill -TERM $$pid; wait $$pid
-
-# Sim-side benchmark: figure-suite wall clock + allocation totals and the
-# kernel slot-loop ns/allocs per slot, recorded machine-readably in
-# BENCH_sim.json (the counterpart of bench-serve's BENCH_serve.json).
-bench-sim:
-	$(GO) run ./cmd/simbench -json BENCH_sim.json
 
 # CI smoke for the decision plane, two legs against one race-built pair.
 # Leg 1: oracle-policy instances at update period 4 — the oracle's weight
@@ -152,28 +133,6 @@ recover-smoke:
 		-clients 4 -batch 32 -duration 2s -min-throughput 1 \
 		|| { kill -TERM $$pid 2>/dev/null; exit 1; }; \
 	kill -TERM $$pid; wait $$pid
-
-# Durability benchmark: WAL append cost per fsync policy and the cold-start
-# recovery time of a 64-instance fleet, recorded machine-readably in
-# BENCH_wal.json (the durability counterpart of BENCH_serve.json).
-bench-wal:
-	$(GO) run ./cmd/walbench -json BENCH_wal.json
-
-# Observability overhead benchmark: the decide hot path timed with
-# decision-path tracing detached (the production default the zero-alloc
-# guards hold) and attached (the -debug-addr serving hook: phase
-# histograms + one span per decision), recorded in BENCH_obs.json.
-bench-obs:
-	$(GO) run ./cmd/obsbench -json BENCH_obs.json
-
-# Transport scale sweep: the same closed-loop step workload over HTTP/JSON
-# and over the binary framed protocol (internal/wire), across batch sizes,
-# strategy update periods, and GOMAXPROCS settings, recorded machine-
-# readably in BENCH_cluster.json. The artifact pins the json/batch=128/y=1
-# baseline (the BENCH_serve.json operating point) and records best_binary —
-# the fastest binary point whose client p99 stays at or under 1 ms.
-bench-cluster:
-	$(GO) run ./cmd/clusterbench -duration 2s -update-every 1,4,8 -json BENCH_cluster.json
 
 # Distributed execution sweep: the concurrent per-vertex agent runtime
 # (internal/distnet) across network sizes into the thousands of agents,

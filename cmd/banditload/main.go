@@ -4,10 +4,11 @@
 // concurrent clients issuing batched self-simulation step requests until
 // the duration elapses. It reports served-decision throughput and
 // client-side request latency, optionally as a machine-readable JSON
-// summary (BENCH_serve.json in `make bench-serve`).
+// summary (-json) for the operator; no summary is committed to the
+// repository.
 //
 //	banditload -addr http://127.0.0.1:8650 -instances 64 -clients 4 \
-//	    -batch 128 -duration 5s -json BENCH_serve.json
+//	    -batch 128 -duration 5s -json summary.json
 //	banditload -transport binary -binary-addr 127.0.0.1:8660 ...
 //
 // Every served slot is one decision (an assignment served and a learner

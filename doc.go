@@ -137,8 +137,9 @@
 // DecisionPlaneStats (per Scheme via DecideStats, per shard on banditd's
 // /metrics) reports full decides, epoch skips, the per-leader skip
 // taxonomy (leader skips, sensitivity skips, re-solves) and the
-// communication totals; `make bench-serve` records them for the serving
-// workload in BENCH_serve.json's decide section. The CI decide-smoke job
+// communication totals; banditload reports them from its /metrics scrape,
+// and the root TestDecideWorkGolden pins them exactly on one instance of
+// each stackbench workload's shape. The CI decide-smoke job
 // asserts the epoch short-circuit fires under a constant-weight policy and
 // the sensitivity certificate fires under a drifting UCB policy, and the
 // verify-golden job checks the figure pipeline's bytes.
@@ -208,10 +209,10 @@
 // {"code","message"} payloads) and, with -listen-binary, over the binary
 // framed protocol of internal/wire — persistent pipelined TCP with
 // per-shard accept loops, bit-identical to the JSON plane and a multiple
-// faster on the step hot path (tracked in BENCH_cluster.json by `make
-// bench-cluster`). cmd/banditload is the closed-loop load generator
-// behind `make bench-serve` (results tracked in BENCH_serve.json); it
-// drives either transport. See EXPERIMENTS.md for the serving workflow
+// faster on the step hot path (serve.BenchmarkHTTPStep against
+// wire.BenchmarkWireStep measures by how much). cmd/banditload is the
+// closed-loop load generator the serving smokes run; it drives either
+// transport. See EXPERIMENTS.md for the serving workflow
 // and OPERATIONS.md for the operator's runbook.
 //
 // # Durability
@@ -233,11 +234,11 @@
 // asserts the restart serves every instance. A restore replaces the
 // persisted trajectory before it replies. Torn log tails truncate,
 // mid-file corruption is rejected, and fsync policy (always/batch/none)
-// trades append latency against machine-crash loss; `make bench-wal`
-// tracks the costs in BENCH_wal.json. A recorded stream feeds back
-// through the kernel offline via ReplayRecorded (cmd/banditreplay) for
-// policy A/B against the true catalog means. The WAL framing and snapshot
-// file format are part of the versioned bit-identity contract
+// trades append latency against machine-crash loss; wal.BenchmarkAppend
+// and serve.BenchmarkRecover measure the costs. A recorded stream feeds
+// back through the kernel offline via ReplayRecorded (cmd/banditreplay)
+// for policy A/B against the true catalog means. The WAL framing and
+// snapshot file format are part of the versioned bit-identity contract
 // (CONTRIBUTING.md); the directory layout, recovery semantics and metrics
 // families (banditd_wal_*, banditd_regret_*) are documented in
 // OPERATIONS.md.

@@ -1,8 +1,9 @@
 // Package benchmeta stamps benchmark artifacts with the runtime
-// environment they were measured in. Every committed BENCH_*.json embeds
-// an Env so a number can be read against the parallelism and toolchain
-// that produced it — a multi-core sweep recorded on a single-core box says
-// so in the artifact itself, not in tribal memory.
+// environment they were measured in. stackbench's report, distbench's
+// BENCH_dist.json and banditload's -json summary embed an Env so a number
+// can be read against the parallelism and toolchain that produced it — a
+// multi-core sweep recorded on a single-core box says so in the artifact
+// itself, not in tribal memory.
 package benchmeta
 
 import "runtime"

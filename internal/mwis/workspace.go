@@ -41,7 +41,8 @@ type Workspace struct {
 	//     traversal order. This certificate ignores pivot near-ties and
 	//     prune near-misses entirely — those flips reshape the traversal
 	//     but not the answer — which is what lets drifting-but-stable
-	//     leaders skip resolves at a useful rate (see BENCH_serve.json).
+	//     leaders skip resolves at a useful rate (the root package's
+	//     TestDecideWorkGolden pins how often).
 	//
 	// Both margins are computed from floating-point sums, so S is their
 	// maximum less a bound on the rounding error (16·(n+1)·ε·Σw, clamped
