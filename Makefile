@@ -12,7 +12,7 @@ BANDITD_BINARY_ADDR ?= 127.0.0.1:8660
 # Fig. 7 replication) through the shared slot kernel.
 GOLDEN_ARGS = -exp all -seed 1 -slots 300 -periods 40 -reps 3
 
-.PHONY: all build fmt-check vet test race stackbench-test fuzz-smoke bench bench-smoke bench-dist serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke dist-smoke verify-golden update-golden figures ci
+.PHONY: all build fmt-check vet test race stackbench-test fuzz-smoke bench bench-smoke bench-dist spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke dist-smoke verify-golden update-golden figures ci
 
 # Committed ScenarioSpec files driven by spec-smoke: one per channel kind
 # (gaussian, gilbert-elliott, shifting) plus the primary-user wrapper.
@@ -61,17 +61,6 @@ bench:
 # One iteration of every benchmark — the CI smoke run.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=NONE -timeout 30m ./...
-
-# CI smoke: the same loop built with the race detector, shorter and with a
-# nonzero-throughput assertion. A race or an unclean shutdown fails it.
-serve-smoke:
-	$(GO) build -race -o bin/banditd.race ./cmd/banditd
-	$(GO) build -race -o bin/banditload.race ./cmd/banditload
-	@set -e; bin/banditd.race -addr $(BANDITD_ADDR) & pid=$$!; \
-	bin/banditload.race -addr http://$(BANDITD_ADDR) -instances 64 -clients 4 \
-		-batch 32 -duration 2s -min-throughput 1 \
-		|| { kill -TERM $$pid 2>/dev/null; exit 1; }; \
-	kill -TERM $$pid; wait $$pid
 
 # Spec smoke: start banditd under the race detector and create one
 # instance per channel kind from the committed ScenarioSpec files, then
@@ -219,4 +208,4 @@ update-golden:
 figures:
 	$(GO) run ./cmd/figgen -exp all -v
 
-ci: build fmt-check vet race stackbench-test fuzz-smoke bench-smoke serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke dist-smoke verify-golden
+ci: build fmt-check vet race stackbench-test fuzz-smoke bench-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke dist-smoke verify-golden

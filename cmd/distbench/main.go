@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -358,7 +359,7 @@ func smoke(seed int64) error {
 		if !got.Converged || !got.Independent {
 			return fmt.Errorf("fault-free tcp decision %d did not converge independently", step)
 		}
-		if !equalInts(got.Winners, want.Winners) {
+		if !slices.Equal(got.Winners, want.Winners) {
 			return fmt.Errorf("tcp golden mismatch at decision %d:\n distnet %v\n decider %v", step, got.Winners, want.Winners)
 		}
 		for i := range w {
@@ -422,16 +423,4 @@ func smoke(seed int64) error {
 	}
 	log.Printf("smoke: %d-decision fault churn ok (%d copies dropped, 0 violations)", churn, dropped)
 	return nil
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

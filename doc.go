@@ -101,20 +101,17 @@
 //     weight moved are re-sorted and merged back in; each mini-round
 //     elects its leaders in one walk down that order, ORing ball rows into
 //     a running union;
-//   - scratch and induced-subgraph arenas reused across boundaries, so a
-//     full decision allocates only its published Result; instances sharing
-//     one artifact projection in the serving runtime additionally share a
-//     pooled DecideArena keyed by protocol Runtime, so co-hosted replicas
-//     batch their boundary decides through common scratch storage;
-//   - change-set tracking: policies report through WriteIndices exactly
-//     which indices moved since the last boundary (a reusable bitset), and
-//     the Decider keeps a per-vertex last-changed epoch from it — an
-//     entirely unchanged weight vector (with an unchanged previous-strategy
-//     set) returns the cached previous Result without running the protocol
-//     at all (an epoch skip);
+//   - scratch reused across boundaries (status bitsets, leader lists and
+//     the MWIS workspace), so a full decision allocates only its published
+//     Result; instances sharing one artifact projection in the serving
+//     runtime additionally share a pooled DecideArena keyed by protocol
+//     Runtime, so co-hosted replicas batch their boundary decides through
+//     common scratch storage;
+//   - an epoch skip: a weight vector and previous-strategy set that compare
+//     equal to the previous boundary's return the cached previous Result
+//     without running the protocol at all;
 //   - per-leader skips inside a full decide: a LocalLeader whose candidate
-//     weights are untouched since its memo anchor (epoch-clean by the
-//     change sets, or exactly equal by value) replays its cached
+//     weights compare exactly equal to its memo anchor's replays its cached
 //     winner/loser split with zero solver work (a leader skip);
 //   - per-leader sensitivity margins: each exact local MWIS solve records a
 //     comparison-slack certificate — the minimum margin over every
@@ -124,9 +121,13 @@
 //     replayed without re-solving (a sensitivity skip) while the published
 //     totals are recomputed from the current weights;
 //   - a structure hit (identical candidate set, drift past the slack)
-//     still reuses the cached candidate subgraph, adjacency bitsets and
-//     clique partition while re-running only the weighted search.
+//     still reuses the leader's prepared ball (adjacency bitsets and
+//     clique partition) and re-runs only the solver on it, whichever
+//     solver the runtime uses (mwis.SolveOn).
 //
+// The Decider finds every skip by comparing weights it holds: the
+// policies' change reports, which the slot kernel still threads into
+// DecideEpoch, are ignored, so no caller can make a decision stale.
 // Every layer is exact — equal inputs are served equal outputs, and the
 // sensitivity bound is a certificate, not a heuristic — so trajectories
 // are bit-identical to deciding from scratch at every boundary; the

@@ -1,9 +1,9 @@
 // Package changeset provides a reusable bitset over a fixed index universe
 // [0, n), used to report *which* elements of a vector changed between two
-// fills. It is the currency of the drift-bounded decision plane: policies
-// record the indices their WriteIndices call moved, the slot kernel threads
-// the set to the protocol decider, and the decider invalidates exactly the
-// per-leader caches whose candidate weights are in the set.
+// fills. Policies record the indices their WriteIndices call moved and the
+// slot kernel passes the set to its decision plane, which ignores it: the
+// decider compares the weights itself. The package stays while the
+// benchmark module, stackbench, compiles against that signature.
 //
 // A Set is plain mutable state with no locking; confine it to one goroutine
 // like the buffers it describes. Reset reuses the backing storage, so a Set

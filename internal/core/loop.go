@@ -35,13 +35,12 @@ import (
 // Decisions run on a persistent protocol.Decider owned by the loop: the
 // incremental decision plane that reuses scratch across boundaries,
 // memoizes local MWIS per leader, and short-circuits whole boundaries when
-// the weight vector did not move. The kernel threads the weight epoch AND
-// the per-index change set through: WriteIndices reports whether any index
-// changed since the last boundary and which ones (the indices buffer is
-// reused, so both are free), an unchanged epoch lets the decider return the
-// cached previous Result without running the protocol, and the change set
-// lets leaders whose candidate weights did not move replay their cached
-// splits with zero solver work. All of it is exact — trajectories are
+// the weight vector did not move. The kernel still passes the policies'
+// change reports through DecideEpoch (WriteIndices says whether any index
+// changed since the last boundary and which ones), but neither decision
+// plane reads them: each finds an unchanged epoch, and the leaders whose
+// candidate weights did not move, by comparing the weights itself, so no
+// report can make a decision stale. All of it is exact — trajectories are
 // bit-identical to deciding from scratch every boundary — and the decider's
 // cumulative accounting (full decides, epoch skips, leader and sensitivity
 // skips, struct hits/misses, communication totals) is exposed through
@@ -81,15 +80,14 @@ type Loop struct {
 // decide surface that protocol.Decider implements natively and that
 // distnet.LoopDecider adapts, letting the same slot kernel run its
 // decisions lock-step in process or through concurrent per-vertex agents
-// over a transport. Implementations keep their own incremental state; the
-// kernel only threads the weight epoch through.
+// over a transport. Implementations keep their own incremental state.
 type DecisionPlane interface {
-	// DecideEpoch runs (or serves from cache) one strategy decision. ch,
-	// when non-nil, holds exactly the indices whose weights changed since
-	// the previous boundary (the kernel fills it from policy change
-	// reporting), letting the plane invalidate only the per-leader caches
-	// that actually moved; nil planes and nil sets both degrade to the
-	// plane's own comparisons.
+	// DecideEpoch runs (or serves from cache) one strategy decision.
+	// weightsUnchanged and ch carry the kernel's change reports: whether
+	// any weight changed since the previous boundary, and which ones. Both
+	// planes ignore them and compare the weights themselves, so neither
+	// plane's exactness rests on the reports; the parameters stay because
+	// the benchmark module, stackbench, compiles against this signature.
 	DecideEpoch(weights []float64, prevPlayed []int, weightsUnchanged bool, ch *changeset.Set) (*protocol.Result, error)
 	// Stats returns the plane's cumulative decision accounting.
 	Stats() protocol.DecideStats
@@ -229,10 +227,9 @@ func (l *Loop) Decision() *protocol.Result { return l.curDecision }
 // decision ran. Calling it again in the same slot is a no-op, which lets an
 // assignment query and a step share one decision.
 //
-// The decision goes through the loop's persistent protocol.Decider with the
-// weight epoch threaded in: when WriteIndices reports no index moved since
-// the last boundary, the decider serves the cached previous Result instead
-// of rerunning the protocol. Boundaries served either way count as
+// The decision goes through the loop's decision plane: when the weights and
+// the previous strategy equal the last boundary's, the plane serves the
+// cached previous Result instead of rerunning the protocol. Boundaries served either way count as
 // decisions; DecideStats splits them into full decides and epoch skips.
 func (l *Loop) EnsureDecided() (bool, error) {
 	if l.slot%l.y != 0 || l.decidedSlot == l.slot {

@@ -1,6 +1,7 @@
 package distnet
 
 import (
+	"slices"
 	"time"
 
 	"multihopbandit/internal/changeset"
@@ -37,17 +38,14 @@ func NewLoopDecider(rt *Runtime, faultFree bool) *LoopDecider {
 // Runtime returns the wrapped runtime.
 func (ld *LoopDecider) Runtime() *Runtime { return ld.rt }
 
-// DecideEpoch implements core.DecisionPlane. The per-index change set is
-// accepted as an additional unchanged signal (an empty set means no weight
-// moved); finer-grained change-driven invalidation is the lock-step
-// decider's domain — the concurrent agents re-execute the protocol whenever
-// anything moved, which is the behavior being studied.
-func (ld *LoopDecider) DecideEpoch(weights []float64, prevPlayed []int, weightsUnchanged bool, ch *changeset.Set) (*protocol.Result, error) {
+// DecideEpoch implements core.DecisionPlane. Like protocol.Decider, it
+// ignores both change hints: in fault-free mode it epoch-skips exactly when
+// the weights compare equal to the last decided vector's, and otherwise the
+// concurrent agents re-execute the protocol, which is the behavior being
+// studied.
+func (ld *LoopDecider) DecideEpoch(weights []float64, prevPlayed []int, _ bool, _ *changeset.Set) (*protocol.Result, error) {
 	start := time.Now()
-	if ch != nil && ch.Empty() && ld.lastResult != nil {
-		weightsUnchanged = true
-	}
-	if ld.faultFree && ld.lastResult != nil && (weightsUnchanged || equalWeights(weights, ld.lastWeights)) {
+	if ld.faultFree && ld.lastResult != nil && slices.Equal(weights, ld.lastWeights) {
 		ld.stats.EpochSkips++
 		if ld.tracer != nil {
 			ld.tracer(&protocol.DecideTrace{
@@ -104,15 +102,3 @@ func (ld *LoopDecider) Stats() protocol.DecideStats { return ld.stats }
 
 // SetTracer implements core.DecisionPlane.
 func (ld *LoopDecider) SetTracer(fn func(*protocol.DecideTrace)) { ld.tracer = fn }
-
-func equalWeights(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

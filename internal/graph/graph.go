@@ -321,79 +321,6 @@ func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int) {
 	return sub, uniq
 }
 
-// SubgraphArena builds induced subgraphs into reusable storage for hot
-// paths that induce many subgraphs of one fixed parent graph (the protocol
-// decider induces one per LocalLeader per mini-round). Induced returns a
-// graph structurally identical to InducedSubgraph's, but every backing
-// array — the vertex index, the adjacency lists, and the returned Graph
-// itself — is owned by the arena and reused across calls, so a warmed-up
-// arena performs zero heap allocations.
-//
-// The returned graph and id slice are valid only until the next Induced
-// call on the same arena. An arena is not safe for concurrent use.
-type SubgraphArena struct {
-	g     Graph
-	index []int // parent id -> local id, -1 when absent; reset after each use
-	edges []int // one backing array for all adjacency lists
-	deg   []int
-}
-
-// Induced returns the subgraph of g induced by vertices, which must be
-// sorted ascending and duplicate-free (InducedSubgraph's canonical vertex
-// order), plus the mapping from new vertex id to parent id (aliasing the
-// input slice). The adjacency structure is exactly InducedSubgraph's:
-// vertex i of the result is vertices[i], neighbor lists sorted ascending.
-func (a *SubgraphArena) Induced(g *Graph, vertices []int) (*Graph, []int) {
-	n := len(vertices)
-	if cap(a.index) < g.N() {
-		a.index = make([]int, g.N())
-		for i := range a.index {
-			a.index[i] = -1
-		}
-	}
-	index := a.index[:g.N()]
-	for i, v := range vertices {
-		index[v] = i
-	}
-	a.deg = a.deg[:0]
-	total := 0
-	for _, v := range vertices {
-		d := 0
-		for _, w := range g.adj[v] {
-			if index[w] >= 0 {
-				d++
-			}
-		}
-		a.deg = append(a.deg, d)
-		total += d
-	}
-	if cap(a.edges) < total {
-		a.edges = make([]int, total)
-	}
-	if cap(a.g.adj) < n {
-		a.g.adj = make([][]int, n)
-	}
-	a.g.adj = a.g.adj[:n]
-	edges := a.edges[:0]
-	for i, v := range vertices {
-		start := len(edges)
-		for _, w := range g.adj[v] {
-			if j := index[w]; j >= 0 {
-				edges = append(edges, j)
-			}
-		}
-		// vertices and g.adj[v] are both sorted, and index is monotone over
-		// vertices, so the local ids arrive in ascending order — the
-		// sorted-adjacency invariant holds without a sort.
-		a.g.adj[i] = edges[start : start+a.deg[i] : start+a.deg[i]]
-	}
-	a.edges = a.edges[:len(edges)]
-	for _, v := range vertices {
-		index[v] = -1
-	}
-	return &a.g, vertices
-}
-
 func dedupSorted(s []int) []int {
 	if len(s) == 0 {
 		return s

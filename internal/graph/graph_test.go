@@ -405,64 +405,3 @@ func TestHopDistSymmetryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestSubgraphArenaMatchesInducedSubgraph checks the arena path is
-// structurally identical to InducedSubgraph on random graphs and random
-// sorted vertex subsets, across repeated reuse of one arena.
-func TestSubgraphArenaMatchesInducedSubgraph(t *testing.T) {
-	var arena SubgraphArena
-	for seed := int64(0); seed < 40; seed++ {
-		g := randomGraph(30, 0.2, rng.New(seed))
-		pick := rng.New(seed + 1000)
-		var verts []int
-		for v := 0; v < 30; v++ {
-			if pick.Bernoulli(0.4) {
-				verts = append(verts, v)
-			}
-		}
-		want, wantIDs := g.InducedSubgraph(verts)
-		got, gotIDs := arena.Induced(g, verts)
-		if !reflect.DeepEqual(wantIDs, gotIDs) {
-			t.Fatalf("seed %d: ids %v, want %v", seed, gotIDs, wantIDs)
-		}
-		if got.N() != want.N() {
-			t.Fatalf("seed %d: %d vertices, want %d", seed, got.N(), want.N())
-		}
-		for v := 0; v < want.N(); v++ {
-			wn, gn := want.Neighbors(v), got.Neighbors(v)
-			if len(wn) != len(gn) {
-				t.Fatalf("seed %d: vertex %d has %v neighbors, want %v", seed, v, gn, wn)
-			}
-			for i := range wn {
-				if wn[i] != gn[i] {
-					t.Fatalf("seed %d: vertex %d neighbors %v, want %v", seed, v, gn, wn)
-				}
-			}
-		}
-		verts = verts[:0]
-	}
-}
-
-// TestSubgraphArenaEmpty covers the zero-vertex induction.
-func TestSubgraphArenaEmpty(t *testing.T) {
-	var arena SubgraphArena
-	g := cycle(t, 5)
-	sub, ids := arena.Induced(g, nil)
-	if sub.N() != 0 || len(ids) != 0 {
-		t.Fatalf("empty induction gave %d vertices, %d ids", sub.N(), len(ids))
-	}
-}
-
-// TestSubgraphArenaNoAllocs asserts a warmed arena performs zero heap
-// allocations per induction — the property the protocol decider relies on.
-func TestSubgraphArenaNoAllocs(t *testing.T) {
-	g := randomGraph(40, 0.15, rng.New(7))
-	verts := []int{1, 3, 4, 8, 11, 17, 20, 21, 28, 33, 39}
-	var arena SubgraphArena
-	arena.Induced(g, verts) // warm
-	if got := testing.AllocsPerRun(200, func() {
-		arena.Induced(g, verts)
-	}); got != 0 {
-		t.Errorf("warmed arena allocates %.1f times per induction, want 0", got)
-	}
-}

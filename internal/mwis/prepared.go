@@ -1,6 +1,7 @@
 package mwis
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -51,6 +52,13 @@ func (p *Prepared) row(v int) bitset {
 // Prepare fills p from g, replacing any previous preparation. The
 // workspace supplies the clique partition's scratch.
 func (p *Prepared) Prepare(g *graph.Graph, ws *Workspace) {
+	p.fillRows(g)
+	p.partition(ws)
+}
+
+// fillRows sizes p for g and fills its adjacency rows from g's lists. It
+// leaves the clique partition stale: Greedy reads the rows alone.
+func (p *Prepared) fillRows(g *graph.Graph) {
 	p.reset(g.N())
 	for v := 0; v < p.n; v++ {
 		row := p.row(v)
@@ -58,7 +66,27 @@ func (p *Prepared) Prepare(g *graph.Graph, ws *Workspace) {
 			row.set(u)
 		}
 	}
-	p.partition(ws)
+}
+
+// graph rebuilds p's graph as adjacency lists, for solvers without a body
+// over prepared rows.
+func (p *Prepared) graph() *graph.Graph {
+	g := graph.New(p.n)
+	for v := 0; v < p.n; v++ {
+		row := p.row(v)
+		for u := row.next(v + 1); u >= 0; u = row.next(u + 1) {
+			_ = g.AddEdge(v, u) // cannot fail: both ends are below p.n
+		}
+	}
+	return g
+}
+
+// validate is Instance.Validate for weights over p.
+func (p *Prepared) validate(w []float64) error {
+	if len(w) != p.n {
+		return fmt.Errorf("mwis: %d weights for %d vertices", len(w), p.n)
+	}
+	return checkWeights(w)
 }
 
 // PrepareInduced fills p with the subgraph that vs induces in a parent
@@ -194,10 +222,7 @@ func (h Hybrid) SolvePrepared(p *Prepared, w []float64, ws *Workspace) ([]int, e
 	// and only a search that runs can stop at the budget.
 	ws.Slack = 0
 	ws.BudgetStop = false
-	if len(w) != p.n {
-		return nil, fmt.Errorf("mwis: %d weights for %d vertices", len(w), p.n)
-	}
-	if err := checkWeights(w); err != nil {
+	if err := p.validate(w); err != nil {
 		return nil, err
 	}
 	budget, maxExact := h.limits()
@@ -256,6 +281,44 @@ func (h Hybrid) SolvePrepared(p *Prepared, w []float64, ws *Workspace) ([]int, e
 		return exactSet, nil
 	}
 	return greedySet, nil
+}
+
+// SolveOn runs solver s on the prepared graph p under weights w, drawing
+// its buffers from ws: the one local-solve entry of a caller that keeps
+// its graphs prepared, as the protocol decider keeps one ball per leader.
+// Each solver runs its own body. Hybrid runs SolvePrepared, with the slack
+// certificate when ws.TrackSlack is set; Exact runs its search over p
+// under its MaxNodes guard and Budget; Greedy runs its selection over p's
+// rows; any other solver runs Solve on a graph rebuilt from p's rows. A
+// search that stops at its budget sets ws.BudgetStop and returns its set
+// with a nil error. Every solver but Hybrid leaves ws.Slack at 0. The
+// returned set aliases ws, except another solver's, which is its own.
+func SolveOn(s Solver, p *Prepared, w []float64, ws *Workspace) ([]int, error) {
+	ws.Slack, ws.BudgetStop = 0, false
+	switch s := s.(type) {
+	case Hybrid:
+		return s.SolvePrepared(p, w, ws)
+	case Greedy:
+		if err := p.validate(w); err != nil {
+			return nil, err
+		}
+		return greedyPrepared(p, w, ws), nil
+	case Exact:
+		if err := p.validate(w); err != nil {
+			return nil, err
+		}
+		if err := s.checkSize(p.n); err != nil {
+			return nil, err
+		}
+		set, exhausted := ws.exact(p, w, s.Budget, false)
+		ws.BudgetStop = !exhausted
+		return set, nil
+	}
+	set, err := s.Solve(Instance{G: p.graph(), W: w})
+	if errors.Is(err, ErrBudgetExceeded) {
+		ws.BudgetStop, err = true, nil
+	}
+	return set, err
 }
 
 // roundingError bounds, with a wide margin, the rounding error of any sum

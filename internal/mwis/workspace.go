@@ -3,23 +3,26 @@ package mwis
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Workspace carries every buffer the solvers need, so hot loops that solve
 // many small instances (the protocol decider: one local MWIS per LocalLeader
 // per mini-round) can run allocation-free once the buffers are warm. A
 // Workspace is not safe for concurrent use; the slices returned by
-// SolveWorkspace and SolvePrepared alias it and are valid only until its
-// next use.
+// SolveWorkspace, SolvePrepared and SolveOn alias it and are valid only
+// until its next use.
 //
-// Each solver has one body, its SolveWorkspace (Hybrid's runs through
-// Prepare and SolvePrepared); Solve runs it on a pooled Workspace. The
-// tests keep the allocating Greedy and Hybrid bodies these replaced as
-// oracles (TestSolveWorkspaceMatchesSolve, TestSolvePreparedMatchesSolve).
+// Each solver has one body, over a Prepared graph: greedyPrepared for
+// Greedy, the search for Exact, SolvePrepared for Hybrid. SolveWorkspace
+// prepares the instance's graph in ws (Greedy fills only the rows) and
+// runs it, SolveOn runs it on a caller's preparation, and Solve runs
+// SolveWorkspace on a pooled Workspace. The tests keep the allocating
+// Greedy and Hybrid bodies these replaced as oracles
+// (TestSolveWorkspaceMatchesSolve, TestSolvePreparedMatchesSolve).
 type Workspace struct {
 	// TrackSlack requests the replay-slack certificate from the next
-	// Hybrid.SolvePrepared call; Slack is its result. When the budgeted
+	// Hybrid.SolvePrepared call, SolveOn's with a Hybrid included; Slack is
+	// its result, and every other solve sets it to 0. When the budgeted
 	// exact search completes, Slack is a margin S such that any weight
 	// vector w' with Σ_v |w'_v − w_v| < S provably makes a from-scratch
 	// solve return the identical set. S is the maximum of two independent
@@ -59,11 +62,11 @@ type Workspace struct {
 	TrackSlack bool
 	Slack      float64
 
-	// BudgetStop reports whether the last Hybrid.SolvePrepared call's exact
-	// search stopped at the node budget, so that its set is the incumbent
+	// BudgetStop reports whether the last SolvePrepared or SolveOn call's
+	// search stopped at its node budget, so that its set is the incumbent
 	// or the greedy set rather than a proven optimum. It is false when the
 	// search completed and when no search ran (instances above
-	// MaxExactNodes, invalid inputs).
+	// MaxExactNodes, Greedy, invalid inputs).
 	BudgetStop bool
 
 	// greedy state
@@ -176,32 +179,13 @@ func sortByWeight(order []int, w []float64) {
 }
 
 // SolveWorkspace is Greedy's body, with every buffer (the result included)
-// drawn from ws.
+// drawn from ws: the selection over ws.pre's rows, filled from in.G.
 func (g Greedy) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	n := in.G.N()
-	order := growInts(&ws.order, n)
-	for i := range order {
-		order[i] = i
-	}
-	sortByWeight(order, in.W)
-	removed := growBools(&ws.removed, n)
-	out := ws.gout[:0]
-	for _, v := range order {
-		if removed[v] {
-			continue
-		}
-		out = append(out, v)
-		removed[v] = true
-		for _, u := range in.G.Neighbors(v) {
-			removed[u] = true
-		}
-	}
-	sort.Ints(out)
-	ws.gout = out
-	return out, nil
+	ws.pre.fillRows(in.G)
+	return greedyPrepared(&ws.pre, in.W, ws), nil
 }
 
 // SolveWorkspace is Exact's body, with every buffer (the result and the
@@ -210,12 +194,8 @@ func (e Exact) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	maxNodes := e.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = 4096
-	}
-	if n := in.G.N(); n > maxNodes {
-		return nil, fmt.Errorf("mwis: instance with %d vertices exceeds MaxNodes=%d", n, maxNodes)
+	if err := e.checkSize(in.G.N()); err != nil {
+		return nil, err
 	}
 	ws.pre.Prepare(in.G, ws)
 	out, exhausted := ws.exact(&ws.pre, in.W, e.Budget, false)
@@ -223,6 +203,18 @@ func (e Exact) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 		return out, ErrBudgetExceeded
 	}
 	return out, nil
+}
+
+// checkSize is Exact's MaxNodes guard against an n-vertex instance.
+func (e Exact) checkSize(n int) error {
+	maxNodes := e.MaxNodes
+	if maxNodes == 0 {
+		maxNodes = 4096
+	}
+	if n > maxNodes {
+		return fmt.Errorf("mwis: instance with %d vertices exceeds MaxNodes=%d", n, maxNodes)
+	}
+	return nil
 }
 
 // SolveWorkspace is Hybrid's body: above MaxExactNodes the greedy set,

@@ -172,21 +172,27 @@ func TestSolveWorkspaceNoAllocs(t *testing.T) {
 }
 
 // TestSolvePreparedMatchesSolve is the prepared path's bit-identity guard:
-// preparing a graph once and solving it under many weight vectors must
-// return exactly what the allocating Hybrid body (referenceHybridSolve)
-// returns per vector — including budgeted
+// preparing a graph once and solving it under many weight vectors through
+// SolveOn must return, per vector, exactly what the allocating Hybrid body
+// (referenceHybridSolve) returns for each Hybrid — including budgeted
 // searches that fall back to the greedy heuristic and oversize instances
-// that skip the exact search entirely — under continuous weights and
-// under each exact-tie regime, whose drifts redraw from the regime. As in
-// TestSolveWorkspaceMatchesSolve, instances of 4–27 vertices run the
-// one-word search body and sparse ones of 65–100 the multi-word body.
+// that skip the exact search entirely — and what Solve returns for Greedy,
+// a budgeted Exact and RobustPTAS, which SolveOn runs on a graph rebuilt
+// from the preparation. Those three must report BudgetStop exactly when
+// Solve returns ErrBudgetExceeded, and no slack although it is asked for.
+// It runs under continuous weights and under each exact-tie regime, whose
+// drifts redraw from the regime. As in TestSolveWorkspaceMatchesSolve,
+// instances of 4–27 vertices run the one-word search body and sparse ones
+// of 65–100 the multi-word body.
 func TestSolvePreparedMatchesSolve(t *testing.T) {
 	hybrids := []Hybrid{
 		{},
 		{Budget: 8},
 		{MaxExactNodes: 10},
 	}
+	others := []Solver{Greedy{}, Exact{Budget: 8}, RobustPTAS{}}
 	var ws Workspace
+	tracked := Workspace{TrackSlack: true}
 	var pre Prepared
 	// run solves one prepared graph under four weight vectors, each drifted
 	// from the last by draw.
@@ -195,12 +201,32 @@ func TestSolvePreparedMatchesSolve(t *testing.T) {
 		for rounds := 0; rounds < 4; rounds++ {
 			for _, h := range hybrids {
 				want, wantErr := referenceHybridSolve(h, in)
-				got, gotErr := h.SolvePrepared(&pre, in.W, &ws)
+				got, gotErr := SolveOn(h, &pre, in.W, &ws)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("%s: error %v (prepared) vs %v (reference)", desc, gotErr, wantErr)
 				}
 				if !equalIntSlices(got, want) {
 					t.Fatalf("%s: %v (prepared) vs %v (reference)", desc, got, want)
+				}
+			}
+			for _, s := range others {
+				want, wantErr := s.Solve(in)
+				if wantErr != nil && !errors.Is(wantErr, ErrBudgetExceeded) {
+					t.Fatalf("%s %s: Solve: %v", desc, s.Name(), wantErr)
+				}
+				tracked.Slack = 1
+				got, err := SolveOn(s, &pre, in.W, &tracked)
+				if err != nil {
+					t.Fatalf("%s %s: %v", desc, s.Name(), err)
+				}
+				if stop := errors.Is(wantErr, ErrBudgetExceeded); tracked.BudgetStop != stop {
+					t.Fatalf("%s %s: BudgetStop %v, Solve's budget exceeded %v", desc, s.Name(), tracked.BudgetStop, stop)
+				}
+				if tracked.Slack != 0 {
+					t.Fatalf("%s %s: slack %v off the Hybrid path", desc, s.Name(), tracked.Slack)
+				}
+				if !equalIntSlices(got, want) {
+					t.Fatalf("%s %s: %v (prepared) vs %v (Solve)", desc, s.Name(), got, want)
 				}
 			}
 			// Drift the weights and re-solve on the same preparation.
@@ -296,6 +322,17 @@ func TestSolvePreparedValidation(t *testing.T) {
 	}
 	if _, err := (Hybrid{}).SolvePrepared(&pre, bad, &ws); err == nil {
 		t.Fatal("NaN weights accepted")
+	}
+	for _, s := range []Solver{Greedy{}, Exact{}, RobustPTAS{}} {
+		if _, err := SolveOn(s, &pre, in.W[:3], &ws); err == nil {
+			t.Fatalf("%s: short weight vector accepted", s.Name())
+		}
+		if _, err := SolveOn(s, &pre, bad, &ws); err == nil {
+			t.Fatalf("%s: NaN weights accepted", s.Name())
+		}
+	}
+	if _, err := SolveOn(Exact{MaxNodes: 5}, &pre, in.W, &ws); err == nil {
+		t.Fatal("Exact accepted a prepared graph above MaxNodes")
 	}
 	empty := randomInstance(0, 0, rng.New(12))
 	pre.Prepare(empty.G, &ws)

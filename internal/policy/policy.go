@@ -26,18 +26,19 @@ const UnseenIndex = 2.0
 // WriteIndices reports whether any element of dst changed, i.e. whether the
 // weight vector differs from dst's previous contents. A caller that reuses
 // one buffer across decision boundaries therefore learns, for free, whether
-// the weight epoch advanced — the signal the slot kernel threads to the
-// protocol decider's short-circuit. The report is exact: false guarantees
-// dst is element-for-element what it already was.
+// the weight epoch advanced. The slot kernel passes the report on to its
+// decision plane, which ignores it and compares the weights itself; the
+// benchmark module, stackbench, reads it as policy.changed_frac. The report
+// is exact: false guarantees dst is element-for-element what it already
+// was.
 //
 // ch, when non-nil, additionally receives *which* indices changed: every
 // index whose value differs from dst's previous contents is added to the
 // set (nothing is removed — callers Reset between boundaries). The bitset
 // is what the changed bool compresses, and it obeys the same exactness
 // contract: an index outside the set is guaranteed element-for-element
-// unchanged. The drift-bounded decision plane uses it to invalidate only
-// the per-leader caches whose candidate weights actually moved. Passing
-// nil skips the per-index recording with no other behavioral difference —
+// unchanged. No decision plane reads it either. Passing nil skips the
+// per-index recording with no other behavioral difference —
 // in particular, randomized policies consume identical random draws either
 // way.
 type IndexWriter interface {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"multihopbandit/internal/changeset"
-	"multihopbandit/internal/graph"
 	"multihopbandit/internal/mwis"
 )
 
@@ -29,25 +28,24 @@ type DecideStats struct {
 	// LeaderSkips, SensitivitySkips, MemoStructHits and MemoMisses classify
 	// the per-leader cache lookups of full decisions (one per LocalLeader
 	// per mini-round). A leader skip replayed the cached winner/loser split
-	// because the leader's candidate weights were exactly the anchor solve's
-	// — detected either through the change-set epoch filter (no candidate's
-	// weight has moved since the anchor) or by direct comparison — which is
-	// valid for any deterministic solver. A sensitivity skip replayed the
-	// split although the weights drifted: the drift's L1 norm stayed
-	// strictly below the anchor solve's comparison-slack certificate
-	// (mwis.Workspace.TrackSlack), which proves a fresh solve would retrace
-	// the identical search. A structure hit re-ran the weighted search over
-	// the leader's cached subgraph preparation; a miss rebuilt everything.
-	// None of the four can change an output, only skip recomputing it.
+	// because the leader's candidate weights compared exactly equal to the
+	// anchor solve's, which is valid for any deterministic solver. A
+	// sensitivity skip replayed the split although the weights drifted: the
+	// drift's L1 norm stayed strictly below the anchor solve's
+	// comparison-slack certificate (mwis.Workspace.TrackSlack), which proves
+	// a fresh solve would retrace the identical search. A structure hit
+	// re-ran the solver over the leader's prepared ball; a miss prepared the
+	// ball anew first. None of the four can change an output, only skip
+	// recomputing it, and all four are decided from weights the Decider
+	// holds, never from a caller's change hints.
 	LeaderSkips      int64
 	SensitivitySkips int64
 	MemoStructHits   int64
 	MemoMisses       int64
 	// BudgetStops counts the local solves among those re-solves whose
-	// branch and bound stopped at its node budget
-	// (mwis.Workspace.BudgetStop, or mwis.ErrBudgetExceeded from another
-	// solver), so that the leader applied an incumbent or greedy set rather
-	// than a proven local optimum.
+	// search stopped at its node budget (mwis.Workspace.BudgetStop), so
+	// that the leader applied an incumbent or greedy set rather than a
+	// proven local optimum.
 	BudgetStops int64
 	// Communication totals summed over full decisions (the same quantities
 	// Result.Stats reports per decision).
@@ -129,37 +127,33 @@ func (t *DecideTrace) PhaseNS() int64 {
 	return t.BroadcastNS + t.ElectionNS + t.LocalMWISNS + t.FinalizeNS
 }
 
-// memoEntry is one leader's cached local MWIS. The result layer stores the
-// anchor instance the last search ran on (candidate ids and their weights),
-// its winner/loser split, the epoch the anchor was solved at, and the
-// comparison-slack certificate the solve reported. A replay is exact in two
-// regimes: when the candidate weights equal the anchor's bit-for-bit (epoch
-// filter or direct comparison — any deterministic solver returns the same
-// set on the same inputs), and when their L1 drift from the anchor stays
-// strictly below slack (the certificate proves the branch-and-bound would
-// retrace the identical traversal; see mwis.Workspace.TrackSlack). The
-// structure layer (hybrid solver only) keeps the weight-independent
-// preparation of the candidate subgraph — adjacency bitsets and clique
-// partition — which stays valid as long as the candidate set matches,
-// weights regardless. Neither layer can change an output, only skip
-// recomputing it. Anchors are never advanced by a skip: drift is always
-// measured against the weights the cached split was actually solved under.
+// memoEntry is one leader's cached local MWIS. The structure layer is the
+// candidate set cand and pre, the weight-independent preparation of the
+// ball it induces (adjacency bitsets and clique partition): a non-empty
+// cand always describes pre, weights regardless. The result layer, when
+// valid, is the anchor the last solve over pre ran on: its weights w, its
+// winner/loser split and the comparison-slack certificate it reported (0
+// for every solver but Hybrid). A replay is exact in two regimes: when the
+// candidate weights equal the anchor's bit-for-bit (any deterministic
+// solver returns the same set on the same inputs), and when their L1 drift
+// from the anchor stays strictly below slack (the certificate proves the
+// branch-and-bound would retrace the identical traversal; see
+// mwis.Workspace.TrackSlack). Neither layer can change an output, only
+// skip recomputing it. Anchors are never advanced by a skip: drift is
+// always measured against the weights the cached split was actually
+// solved under.
 type memoEntry struct {
-	valid    bool
-	preValid bool
-	epoch    int64
-	slack    float64
-	cand     []int
-	w        []float64
-	winners  []int
-	losers   []int
-	pre      mwis.Prepared
+	valid   bool
+	slack   float64
+	cand    []int
+	w       []float64
+	winners []int
+	losers  []int
+	pre     mwis.Prepared
 }
 
 // decideScratch is the per-decide mutable state a full decision needs: the
-// MWIS workspace, the induced-subgraph arena that only non-Hybrid solvers
-// use (the Hybrid path prepares its balls from the runtime's adjacency
-// rows), and every per-vertex buffer.
+// MWIS workspace and every per-vertex buffer.
 // It carries no decision history — everything in it is (re)written before
 // use — so any decider over the same runtime can borrow any scratch.
 // The vertex statuses live in two bitsets, cand (the Candidates) and won
@@ -169,8 +163,7 @@ type memoEntry struct {
 // reads out).
 type decideScratch struct {
 	ws         mwis.Workspace
-	arena      graph.SubgraphArena // non-Hybrid solvers' balls
-	moved      []int               // rankOrder's merge buffer
+	moved      []int // rankOrder's merge buffer
 	leaders    []int
 	declared   []int     // every leader of the decide, in declaration order
 	roundW     []float64 // WeightByMiniRound, copied out at finalize
@@ -243,20 +236,24 @@ func (a *DecideArena) put(sc *decideScratch) { a.pool.Put(sc) }
 // queueing and every hosted instance decide through it. It keeps
 // per-consumer state alive across decisions:
 //
-//   - scratch buffers (status bitsets, leader lists, candidate sets), an
-//     mwis.Workspace, and a graph.SubgraphArena for non-Hybrid solvers'
-//     balls, so a steady-state full decision allocates only its published
-//     Result (optionally borrowed per decide from a shared DecideArena);
+//   - scratch buffers (status bitsets, leader lists, candidate sets) and an
+//     mwis.Workspace, so a steady-state full decision allocates only its
+//     published Result (optionally borrowed per decide from a shared
+//     DecideArena);
 //   - a weight-epoch cache: when the weight vector and previous-strategy
 //     set equal the previous call's, the cached Result is returned without
 //     running the protocol (the distributed system would broadcast no
 //     fresh weights and re-derive the identical strategy);
 //   - an exact per-leader cache (one entry per vertex, bounded) with a
-//     change-set epoch filter and a drift sensitivity margin: before
-//     solving MWIS(A_r(v)) the decider checks whether the leader's
-//     candidate weights are untouched since the anchor solve (leader skip),
-//     or drifted within the anchor's comparison-slack certificate
-//     (sensitivity skip), and replays the cached split in either case.
+//     drift sensitivity margin: before solving MWIS(A_r(v)) the decider
+//     compares the leader's candidate weights with the anchor solve's and
+//     replays the cached split when they are equal (leader skip) or drifted
+//     within the anchor's comparison-slack certificate (sensitivity skip);
+//     otherwise it runs the solver once over the leader's prepared ball
+//     (mwis.SolveOn), preparing it anew only when the candidate set changed.
+//
+// Every skip is decided from weights the decider holds, never from a
+// caller's change hints, so its exactness does not depend on its caller.
 //
 // It also keeps every vertex in rank order across decisions (weight
 // descending, ties toward the lower id), re-sorting only the vertices whose
@@ -273,19 +270,9 @@ func (a *DecideArena) put(sc *decideScratch) { a.pool.Put(sc) }
 // it replays.
 type Decider struct {
 	rt      *Runtime
-	hyb     mwis.Hybrid // the prepared-path solver when hasHyb
-	hasHyb  bool
 	scratch decideScratch
 	shared  *DecideArena // when non-nil, full decides borrow scratch here
 	memo    []memoEntry
-
-	// epoch counts full decides; lastChanged[v] is the epoch at which
-	// vertex v's weight was last observed to differ from the decide
-	// before it. A memo entry anchored at epoch e is provably untouched
-	// when every candidate's lastChanged is ≤ e — the change-set filter
-	// that lets leaders skip without even reading their weights.
-	epoch       int64
-	lastChanged []int64
 
 	lastW    []float64
 	lastPrev []int
@@ -315,16 +302,11 @@ type Decider struct {
 func (rt *Runtime) NewDecider() *Decider {
 	n := rt.ext.H.N()
 	d := &Decider{
-		rt:          rt,
-		memo:        make([]memoEntry, n),
-		lastChanged: make([]int64, n),
-		order:       make([]int, n),
+		rt:    rt,
+		memo:  make([]memoEntry, n),
+		order: make([]int, n),
 	}
 	d.scratch.size(n, rt.words)
-	if hyb, ok := rt.solver.(mwis.Hybrid); ok {
-		d.hyb = hyb
-		d.hasHyb = true
-	}
 	return d
 }
 
@@ -348,6 +330,16 @@ func (d *Decider) SetArena(a *DecideArena) { d.shared = a }
 // it cannot change any decision output.
 func (d *Decider) SetTracer(fn func(*DecideTrace)) { d.tracer = fn }
 
+// DecideEpoch is Decide under the slot kernel's decision-plane signature
+// (core.DecisionPlane). Both change hints are ignored: the epoch skip and
+// every per-leader replay are decided by comparing weights the Decider
+// holds, so a caller that under-reports its changes cannot make a decision
+// stale. The parameters stay because the benchmark module, stackbench,
+// compiles against this signature.
+func (d *Decider) DecideEpoch(weights []float64, prevPlayed []int, _ bool, _ *changeset.Set) (*Result, error) {
+	return d.Decide(weights, prevPlayed)
+}
+
 // Decide runs one strategy decision (the strategy-decision part of
 // Algorithm 2): a WB step for the vertices played in the previous round,
 // then up to D mini-rounds of Algorithm 3 under the given per-vertex index
@@ -356,23 +348,6 @@ func (d *Decider) SetTracer(fn func(*DecideTrace)) { d.tracer = fn }
 // broadcast); pass nil on the first round. The inputs are compared against
 // the previous call's to detect an unchanged weight epoch.
 func (d *Decider) Decide(weights []float64, prevPlayed []int) (*Result, error) {
-	return d.decide(weights, prevPlayed, false, nil)
-}
-
-// DecideEpoch is Decide with caller-side change tracking threaded through:
-// weightsUnchanged asserts that weights is element-for-element identical to
-// the previous call's weight vector, and ch, when non-nil, asserts that it
-// holds every index whose weight differs from the previous call's (both are
-// what the slot kernel derives from policy.IndexWriter change reporting).
-// The previous-strategy set is always compared. The assertions are trusted
-// — a caller that under-reports changes gets stale replays — but passing
-// weightsUnchanged=false and ch=nil never forfeits any skip: the decider
-// falls back to comparing the vectors itself, at the cost of one O(n) scan.
-func (d *Decider) DecideEpoch(weights []float64, prevPlayed []int, weightsUnchanged bool, ch *changeset.Set) (*Result, error) {
-	return d.decide(weights, prevPlayed, weightsUnchanged, ch)
-}
-
-func (d *Decider) decide(weights []float64, prevPlayed []int, weightsUnchanged bool, ch *changeset.Set) (*Result, error) {
 	h := d.rt.ext.H
 	n := h.N()
 	if len(weights) != n {
@@ -382,8 +357,7 @@ func (d *Decider) decide(weights []float64, prevPlayed []int, weightsUnchanged b
 	if d.tracer != nil {
 		t0 = time.Now()
 	}
-	if d.lastRes != nil && equalInts(prevPlayed, d.lastPrev) &&
-		(weightsUnchanged || equalFloats(weights, d.lastW)) {
+	if d.lastRes != nil && slices.Equal(prevPlayed, d.lastPrev) && slices.Equal(weights, d.lastW) {
 		d.stats.EpochSkips++
 		if d.tracer != nil {
 			d.trace = DecideTrace{
@@ -394,32 +368,6 @@ func (d *Decider) decide(weights []float64, prevPlayed []int, weightsUnchanged b
 			d.tracer(&d.trace)
 		}
 		return d.lastRes, nil
-	}
-
-	// Advance the change epoch: record which vertices' weights moved since
-	// the previous decide, from the caller's change set when provided, by
-	// direct comparison otherwise. With no previous decide every vertex is
-	// conservatively marked changed.
-	d.epoch++
-	switch {
-	case d.lastRes == nil:
-		for i := range d.lastChanged {
-			d.lastChanged[i] = d.epoch
-		}
-	case weightsUnchanged:
-		// Nothing moved; every memo anchor stays clean.
-	case ch != nil:
-		for i := 0; i < n; i++ {
-			if ch.Contains(i) {
-				d.lastChanged[i] = d.epoch
-			}
-		}
-	default:
-		for i, x := range weights {
-			if x != d.lastW[i] {
-				d.lastChanged[i] = d.epoch
-			}
-		}
 	}
 
 	var memoBefore DecideStats
@@ -705,12 +653,11 @@ func (d *Decider) selectLeaders(sc *decideScratch, candidates int) []int {
 
 // localDecision computes the winner/loser split of MWIS(A_r(v)) for
 // LocalLeader v, consulting the per-leader cache first: an anchored entry
-// whose candidate set matches replays its split outright when no candidate
-// weight moved since the anchor epoch, when the weights compare exactly
-// equal, or when their L1 drift stays strictly below the anchor's slack
-// certificate. Otherwise it resolves — over the cached subgraph preparation
-// when the candidate set matches (hybrid solver), from scratch when not —
-// and re-anchors the entry at the current epoch.
+// whose candidate set matches replays its split outright when the weights
+// compare exactly equal, or when their L1 drift stays strictly below the
+// anchor's slack certificate. Otherwise it solves once over the leader's
+// prepared ball, preparing it anew when the candidate set changed, and
+// re-anchors the entry.
 func (d *Decider) localDecision(sc *decideScratch, v int, weights []float64) (winners, losers []int, err error) {
 	// A_r(v): the Candidates of v's r-ball, and v itself.
 	ar := sc.ar[:0]
@@ -726,23 +673,12 @@ func (d *Decider) localDecision(sc *decideScratch, v int, weights []float64) (wi
 	sc.ar = ar
 
 	e := &d.memo[v]
-	candMatch := equalInts(e.cand, ar)
+	candMatch := slices.Equal(e.cand, ar)
 	if e.valid && candMatch {
-		clean := true
-		for _, u := range ar {
-			if d.lastChanged[u] > e.epoch {
-				clean = false
-				break
-			}
-		}
-		if clean {
-			d.stats.LeaderSkips++
-			return e.winners, e.losers, nil
-		}
-		// Some candidate moved since the anchor: measure the actual L1
-		// drift against the anchor weights. Zero drift is an exact replay;
-		// drift strictly below the certificate is a proven replay. The
-		// scan exits as soon as the accumulated drift rules both out.
+		// Measure the L1 drift against the anchor weights. Zero drift is an
+		// exact replay; drift strictly below the certificate is a proven
+		// replay. The scan exits as soon as the accumulated drift rules
+		// both out.
 		d1 := 0.0
 		for i, u := range ar {
 			d1 += math.Abs(weights[u] - e.w[i])
@@ -759,58 +695,42 @@ func (d *Decider) localDecision(sc *decideScratch, v int, weights []float64) (wi
 			return e.winners, e.losers, nil
 		}
 	}
-	structMatch := e.preValid && candMatch
 
 	// Gather the candidate weights (vertex i of the local instance is
 	// ar[i]: ar is ascending — read off the ball row in bit order — which
-	// is exactly the vertex order PrepareInduced and Induced produce).
+	// is exactly the vertex order PrepareInduced produces).
 	w := sc.w[:0]
 	for _, u := range ar {
 		w = append(w, weights[u])
 	}
 	sc.w = w
 
-	var localIS []int
-	if d.hasHyb {
-		// Hybrid solver: solve over the leader's prepared structure,
-		// rebuilding it from the adjacency rows only when the candidate
-		// set changed. The solve carries the slack certificate so the
-		// next lookups can skip under bounded drift; certification never
-		// changes the result (TestSlackTrackingDoesNotChangeResults).
-		if !structMatch {
-			d.stats.MemoMisses++
-			e.pre.PrepareInduced(d.rt.adjBits, ar, &sc.ws)
-			e.cand = append(e.cand[:0], ar...)
-			e.preValid = true
-			e.valid = false
-		} else {
-			d.stats.MemoStructHits++
-		}
-		sc.ws.TrackSlack = true
-		localIS, err = d.hyb.SolvePrepared(&e.pre, w, &sc.ws)
-		e.slack = sc.ws.Slack
-		if sc.ws.BudgetStop {
-			d.stats.BudgetStops++
-		}
+	// Solve over the leader's prepared ball, rebuilding it from the
+	// adjacency rows only when the candidate set changed. A Hybrid solve
+	// carries the slack certificate so the next lookups can skip under
+	// bounded drift; certification never changes the result
+	// (TestSlackTrackingDoesNotChangeResults).
+	if candMatch {
+		d.stats.MemoStructHits++
 	} else {
 		d.stats.MemoMisses++
+		e.pre.PrepareInduced(d.rt.adjBits, ar, &sc.ws)
 		e.cand = append(e.cand[:0], ar...)
-		e.preValid = false
 		e.valid = false
-		e.slack = 0 // no certificate off the prepared hybrid path
-		sub, _ := sc.arena.Induced(d.rt.ext.H, ar)
-		localIS, err = d.rt.solver.Solve(mwis.Instance{G: sub, W: w})
-		if errors.Is(err, mwis.ErrBudgetExceeded) {
-			d.stats.BudgetStops++
-		}
 	}
-	if err != nil && !errors.Is(err, mwis.ErrBudgetExceeded) {
+	sc.ws.TrackSlack = true
+	localIS, err := mwis.SolveOn(d.rt.solver, &e.pre, w, &sc.ws)
+	if err != nil {
 		return nil, nil, fmt.Errorf("protocol: local MWIS at leader %d: %w", v, err)
+	}
+	if sc.ws.BudgetStop {
+		d.stats.BudgetStops++
 	}
 	for _, li := range localIS {
 		sc.inIS[ar[li]] = true
 	}
 	e.w = append(e.w[:0], w...)
+	e.slack = sc.ws.Slack
 	e.winners = e.winners[:0]
 	e.losers = e.losers[:0]
 	for _, u := range ar {
@@ -824,7 +744,6 @@ func (d *Decider) localDecision(sc *decideScratch, v int, weights []float64) (wi
 		sc.inIS[ar[li]] = false
 	}
 	e.valid = true
-	e.epoch = d.epoch
 	return e.winners, e.losers, nil
 }
 
@@ -837,30 +756,6 @@ func (d *Decider) winnersIndependent(won []uint64, winners []int) bool {
 			if won[wi]&word != 0 {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
 		}
 	}
 	return true

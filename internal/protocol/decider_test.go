@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,19 +57,26 @@ func decideSequence(t *testing.T, rt *Runtime, dec *Decider, weightSeq [][]float
 // topologies, channel counts, ball parameters r, mini-round caps D and
 // solvers, a Decider must produce bit-identical Results to the stateless
 // reference — through weight sequences that mutate all weights, mutate a
-// few, and repeat exactly (exercising the memo and the epoch cache).
+// few, and repeat exactly (exercising the memo and the epoch cache). Seeds
+// 0–11 cycle through the default Hybrid, Greedy and a budgeted Hybrid;
+// seeds 12–17 alternate a budgeted Exact and RobustPTAS, which has no body
+// over a prepared ball and solves on a graph rebuilt from it.
 func TestDeciderMatchesReferenceRandomized(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
+	for seed := int64(0); seed < 18; seed++ {
 		src := rng.New(seed * 31)
 		n := 8 + src.Intn(18)
 		m := 1 + src.Intn(3)
 		r := 1 + src.Intn(3)
 		capD := src.Intn(4) // 0 = unbounded
 		var solver mwis.Solver
-		switch seed % 3 {
-		case 0:
+		switch {
+		case seed >= 12 && seed%2 == 0:
+			solver = mwis.Exact{Budget: 64} // budget stops without a fallback
+		case seed >= 12:
+			solver = mwis.RobustPTAS{}
+		case seed%3 == 0:
 			solver = nil // default Hybrid
-		case 1:
+		case seed%3 == 1:
 			solver = mwis.Greedy{}
 		default:
 			solver = mwis.Hybrid{Budget: 16} // budget-exceeded incumbents
@@ -655,11 +663,12 @@ func TestDeciderMemoStructHits(t *testing.T) {
 // absorbed the old full-hit memo level: identical (candidates, weights)
 // instances must replay their split without a solve even when the runtime's
 // solver is plain Greedy — exact-equality replays are valid for any
-// deterministic solver (regression, twice over: the full-hit gate once
-// required the hybrid-only structure preparation, making hits impossible
-// here; and the separate full-hit counter sat dead at 0 on every serving
-// workload because the epoch filter fires first, so the tier is now
-// accounted as LeaderSkips rather than a counter of its own).
+// deterministic solver (regression: the full-hit gate once required the
+// hybrid-only structure preparation, making hits impossible here). A third
+// decide drifts every weight by a relative 1e-9: Greedy reports no slack
+// certificate, so no leader may skip, but every solver runs on the
+// leader's prepared ball, so leaders whose candidate set repeats must
+// count structure hits, and the decide must still equal the reference's.
 func TestDeciderMemoFullHitNonHybridSolver(t *testing.T) {
 	ext := buildExt(t, 20, 2, 7)
 	rt, err := New(Config{Ext: ext, R: 2, D: 0, Solver: mwis.Greedy{}})
@@ -682,10 +691,31 @@ func TestDeciderMemoFullHitNonHybridSolver(t *testing.T) {
 		t.Fatalf("no leader skips with a non-hybrid solver (stats %+v)", st)
 	}
 	if st.MemoStructHits != 0 {
-		t.Fatalf("structure hits recorded without a prepared path (stats %+v)", st)
+		t.Fatalf("structure hits recorded under unchanged weights (stats %+v)", st)
 	}
 	if st.SensitivitySkips != 0 {
 		t.Fatalf("sensitivity skips recorded without a slack certificate (stats %+v)", st)
+	}
+
+	drifted := make([]float64, len(w))
+	for i, x := range w {
+		drifted[i] = x * (1 + 1e-9)
+	}
+	want, wantMessages, err := referenceDecide(newReferenceRuntime(rt), drifted, first.Winners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dec.Decide(drifted, first.Winners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !matchesReference(want, wantMessages, got) {
+		t.Fatalf("drifted decide diverged from the reference:\n got %+v\nwant %+v", got, want)
+	}
+	delta := dec.Stats().Sub(st)
+	if delta.MemoStructHits == 0 || delta.LeaderSkips != 0 || delta.SensitivitySkips != 0 {
+		t.Fatalf("drifted decide: %d structure hits, %d misses, %d leader and %d sensitivity skips; want structure hits and no skip",
+			delta.MemoStructHits, delta.MemoMisses, delta.LeaderSkips, delta.SensitivitySkips)
 	}
 }
 
@@ -814,9 +844,11 @@ func TestDeciderSensitivitySkipEquivalence(t *testing.T) {
 }
 
 // TestDeciderChangeSetEquivalence drives DecideEpoch with an exact caller
-// change set (the slot kernel's contract) through drift, repeat and redraw
+// change set (what the slot kernel passes) through drift, repeat and redraw
 // regimes, asserting bit-identical Results against the stateless reference
-// and that the change-set epoch filter actually produced leader skips.
+// and that leader and sensitivity skips occurred. The decider ignores the
+// set; both skips come from its own comparison with the anchor weights
+// (TestDeciderIgnoresCallerHints holds it to that).
 func TestDeciderChangeSetEquivalence(t *testing.T) {
 	ext := buildExt(t, 20, 2, 23)
 	rt, err := New(Config{Ext: ext, R: 2, D: 0})
@@ -873,6 +905,84 @@ func TestDeciderChangeSetEquivalence(t *testing.T) {
 	st := dec.Stats()
 	if st.LeaderSkips == 0 || st.SensitivitySkips == 0 {
 		t.Fatalf("change-set plane produced no skips (stats %+v)", st)
+	}
+}
+
+// TestDeciderIgnoresCallerHints holds DecideEpoch to the reference when its
+// change hints are wrong: the decider must decide every epoch skip and
+// leader replay from the weights themselves. Two cases, on a 20×2 network
+// (r=2, D=0):
+//
+//   - after deciding w twice, DecideEpoch(w2, prev, true, empty set) with
+//     w2 ≠ w, a caller that asserts nothing moved;
+//   - for every vertex but the heaviest, a fresh decider decides w, then
+//     DecideEpoch with that vertex lifted to 0.999× the maximum weight,
+//     weightsUnchanged false and an empty change set, a caller that
+//     under-reports the one change.
+//
+// A decider that trusted the hints would return the earlier Result in the
+// first case, and replay a lifted leader's stale split in the second.
+func TestDeciderIgnoresCallerHints(t *testing.T) {
+	ext := buildExt(t, 20, 2, 23)
+	rt, err := New(Config{Ext: ext, R: 2, D: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newReferenceRuntime(rt)
+	k := ext.K()
+	src := rng.New(7)
+	w := make([]float64, k)
+	for i := range w {
+		w[i] = src.Float64()
+	}
+	empty := changeset.New(k)
+	check := func(desc string, dec *Decider, w2 []float64, prev []int, unchanged bool) {
+		t.Helper()
+		want, wantMessages, err := referenceDecide(ref, w2, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dec.DecideEpoch(w2, prev, unchanged, empty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matchesReference(want, wantMessages, got) {
+			t.Errorf("%s: decision diverged from the reference:\n got %v\nwant %v", desc, got.Winners, want.Winners)
+		}
+	}
+
+	dec := rt.NewDecider()
+	first, err := dec.Decide(w, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dec.Decide(w, first.Winners); err != nil {
+		t.Fatal(err)
+	}
+	w2 := make([]float64, k)
+	for i := range w2 {
+		w2[i] = 1 - w[i]
+	}
+	check("weights asserted unchanged", dec, w2, first.Winners, true)
+
+	top := 0
+	for v := range w {
+		if w[v] > w[top] {
+			top = v
+		}
+	}
+	for v := range w {
+		if v == top {
+			continue
+		}
+		dec := rt.NewDecider()
+		first, err := dec.Decide(w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lifted := slices.Clone(w)
+		lifted[v] = 0.999 * w[top]
+		check(fmt.Sprintf("vertex %d lifted, change set empty", v), dec, lifted, first.Winners, false)
 	}
 }
 

@@ -22,37 +22,6 @@ import (
 	"multihopbandit/internal/mwis"
 )
 
-// Status is the state of a virtual vertex during one strategy decision.
-type Status uint8
-
-const (
-	// Candidate vertices are still undecided and may become Winners.
-	Candidate Status = iota + 1
-	// LocalLeader is a Candidate with the maximum weight among all
-	// Candidates in its (2r+1)-hop neighborhood.
-	LocalLeader
-	// Winner vertices belong to the output independent set.
-	Winner
-	// Loser vertices were excluded by a LocalLeader's local MWIS.
-	Loser
-)
-
-// String returns the status name.
-func (s Status) String() string {
-	switch s {
-	case Candidate:
-		return "candidate"
-	case LocalLeader:
-		return "local-leader"
-	case Winner:
-		return "winner"
-	case Loser:
-		return "loser"
-	default:
-		return fmt.Sprintf("Status(%d)", uint8(s))
-	}
-}
-
 // Config parameterizes a protocol Runtime.
 type Config struct {
 	// Ext is the extended conflict graph the decision runs on.

@@ -414,24 +414,6 @@ func TestWinnersNeighborsAreNotWinners(t *testing.T) {
 	}
 }
 
-func TestStatusString(t *testing.T) {
-	tests := []struct {
-		s    Status
-		want string
-	}{
-		{Candidate, "candidate"},
-		{LocalLeader, "local-leader"},
-		{Winner, "winner"},
-		{Loser, "loser"},
-		{Status(9), "Status(9)"},
-	}
-	for _, tt := range tests {
-		if got := tt.s.String(); got != tt.want {
-			t.Errorf("String() = %q, want %q", got, tt.want)
-		}
-	}
-}
-
 func TestRuntimeWithGreedySolver(t *testing.T) {
 	ext := buildExt(t, 25, 3, 17)
 	rt, err := New(Config{Ext: ext, R: 2, Solver: mwis.Greedy{}})

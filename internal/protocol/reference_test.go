@@ -21,6 +21,23 @@ import (
 // the sorted ball lists the oracle reads come from the list-building BFS
 // that New ran before (referenceRuntime), and referenceDecide returns its
 // per-vertex relay counts next to its Result instead of inside its Stats.
+// Status and its four constants live here because the Decider keeps its
+// statuses as two bitsets: the oracle is their one reader.
+
+// Status is the state of a virtual vertex during one strategy decision.
+type Status uint8
+
+const (
+	// Candidate vertices are still undecided and may become Winners.
+	Candidate Status = iota + 1
+	// LocalLeader is a Candidate with the maximum weight among all
+	// Candidates in its (2r+1)-hop neighborhood.
+	LocalLeader
+	// Winner vertices belong to the output independent set.
+	Winner
+	// Loser vertices were excluded by a LocalLeader's local MWIS.
+	Loser
+)
 
 // referenceRuntime is a Runtime plus its hop balls as sorted vertex lists,
 // the form the oracle reads them in. Its list fields shadow the Runtime's

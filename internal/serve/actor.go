@@ -281,28 +281,12 @@ func (s *Session) Info(i *Instance) (*InstanceInfo, error) {
 
 // Step runs n self-simulation slots (decide when due, transmit, observe the
 // hosted channel model, update the learner).
-func (i *Instance) Step(n int) (*StepResult, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("serve: step count must be positive, got %d", n)
-	}
-	resp, err := i.do(request{kind: reqStep, slots: n})
-	if err != nil {
-		return nil, err
-	}
-	return resp.step, nil
-}
+func (i *Instance) Step(n int) (*StepResult, error) { return new(Session).Step(i, n) }
 
 // Observe applies external observation batches synchronously: each batch is
 // one slot's played arms and rewards.
 func (i *Instance) Observe(batches []ObservationBatch) (*ObserveResult, error) {
-	if len(batches) == 0 {
-		return nil, fmt.Errorf("serve: no observation batches")
-	}
-	resp, err := i.do(request{kind: reqObserve, batches: batches})
-	if err != nil {
-		return nil, err
-	}
-	return resp.obs, nil
+	return new(Session).Observe(i, batches)
 }
 
 // PushObservations enqueues observation batches without waiting for them to
@@ -329,13 +313,7 @@ func (i *Instance) PushObservations(batches []ObservationBatch) error {
 
 // Assignment returns the strategy for the instance's current slot, running
 // the strategy decision first if the slot is an update boundary.
-func (i *Instance) Assignment() (*Assignment, error) {
-	resp, err := i.do(request{kind: reqAssign})
-	if err != nil {
-		return nil, err
-	}
-	return resp.assign, nil
-}
+func (i *Instance) Assignment() (*Assignment, error) { return new(Session).Assignment(i) }
 
 // Snapshot exports the instance's restorable state.
 func (i *Instance) Snapshot() (*Snapshot, error) {
@@ -361,15 +339,7 @@ func (i *Instance) Restore(s *Snapshot) error {
 // Info returns a summary of the instance, serialized through the mailbox:
 // it reflects every request enqueued before it (including fire-and-forget
 // observations). For a lock-free approximate snapshot use InfoSnapshot.
-func (i *Instance) Info() (*InstanceInfo, error) {
-	resp, err := i.do(request{kind: reqInfo})
-	if err != nil {
-		return nil, err
-	}
-	resp.info.Shard = i.shard
-	resp.info.Channel = i.spec.Channel.Kind
-	return resp.info, nil
-}
+func (i *Instance) Info() (*InstanceInfo, error) { return new(Session).Info(i) }
 
 // Persisted reports whether the instance participates in the durability
 // layer, and its on-disk directory when it does.
