@@ -61,7 +61,7 @@ type solveCase struct {
 // TestSolvePreparedWorkGolden: the decider's default.
 const solveBudget = 50000
 
-// solveCases builds BenchmarkSolvePrepared's three cases:
+// solveCases builds BenchmarkSolvePrepared's four cases:
 //
 //   - "uniform" and "unseen" solve every ball of a Fig. 6-size network
 //     (M=5, a 500-vertex extended graph), only 5 of which exceed 64
@@ -69,9 +69,12 @@ const solveBudget = 50000
 //     seeded uniform weights; "unseen" gives every vertex the index of an
 //     unplayed arm (2.0), the warm-up tie regime that runs searches into
 //     the node budget.
-//   - "wide" solves, under seeded uniform weights, the balls of more than
-//     64 vertices of the same network at M=10 (Fig. 8's size), so it times
-//     the multi-word body.
+//   - "wide" solves, under seeded uniform weights, the 610 balls of more
+//     than 64 vertices of the same network at M=10 (Fig. 8's size). 600 of
+//     them have at most 128 vertices, so it times the two-word body.
+//   - "widest" solves wide's 10 balls of more than 128 vertices (137
+//     each, wide's balls 310–319) under their wide weights, so it times
+//     the slice body.
 func solveCases(tb testing.TB) []solveCase {
 	fig6 := preparedBalls(tb, 5, 0)
 	wide := preparedBalls(tb, 10, 64)
@@ -86,19 +89,29 @@ func solveCases(tb testing.TB) []solveCase {
 		}
 		return w
 	}
-	return []solveCase{
+	cases := []solveCase{
 		{"uniform", fig6, draw(fig6, src.Float64)},
 		{"unseen", fig6, draw(fig6, func() float64 { return 2.0 })},
 		{"wide", wide, draw(wide, src.Float64)},
+		{name: "widest"},
 	}
+	widest := &cases[3]
+	for k, p := range wide {
+		if p.N() > 128 {
+			widest.balls = append(widest.balls, p)
+			widest.weights = append(widest.weights, cases[2].weights[k])
+		}
+	}
+	return cases
 }
 
 // BenchmarkSolvePrepared times Hybrid.SolvePrepared, the decider's local
 // solve, over r=2 candidate balls (solveCases). Each op solves the next
 // ball in turn with the slack certificate requested, as the decider does.
-// nodes/op is the branch-and-bound nodes spent per solve, and exact/op the
+// nodes/op is the branch-and-bound nodes spent per solve, exact/op the
 // nodes among them that summed their clique heads exactly because the
-// carried bound could not decide alone (search.bound).
+// carried bound could not decide alone (search.bound), and ns/node the
+// time per node, set-up included.
 func BenchmarkSolvePrepared(b *testing.B) {
 	h := Hybrid{Budget: solveBudget}
 	for _, bc := range solveCases(b) {
@@ -116,6 +129,7 @@ func BenchmarkSolvePrepared(b *testing.B) {
 			}
 			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 			b.ReportMetric(float64(sums)/float64(b.N), "exact/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 		})
 	}
 }

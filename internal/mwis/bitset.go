@@ -45,14 +45,3 @@ func (b bitset) nextAnd(mask bitset, wi int) int {
 	}
 	return -1
 }
-
-// forEach calls fn for every set bit in ascending order.
-func (b bitset) forEach(fn func(i int)) {
-	for wi, w := range b {
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			fn(wi*64 + tz)
-			w &= w - 1
-		}
-	}
-}

@@ -163,8 +163,11 @@ func solvePooled(in Instance, solve func(Instance, *Workspace) ([]int, error)) (
 // exact sum at every node would give.
 //
 // Rows are rank-major, words words each: row r of adj is
-// adj[r*words:(r+1)*words]. With one word per row (n ≤ 64), adj and cmask
-// are one uint64 per rank, and branchWord runs the search on those.
+// adj[r*words:(r+1)*words]. The body that runs the search is chosen by
+// words alone: branchWord on one word per row (n ≤ 64), where adj and
+// cmask are one uint64 per rank; branchPair on two (65 ≤ n ≤ 128), where
+// rank r's row is the pair at 2r and 2r+1; and branch, the slice body, on
+// more.
 type search struct {
 	w      []float64 // weight per rank, non-increasing
 	words  int
@@ -201,7 +204,7 @@ type search struct {
 	slack float64
 	u     float64
 
-	// Multi-word body only: three bitsets per recursion depth, the exclude
+	// Slice body only: three bitsets per recursion depth, the exclude
 	// child's remaining set, the include child's, and the child's heads.
 	depthBufs [][3]bitset
 }
@@ -222,8 +225,10 @@ func (st *search) note(diff float64) {
 // every buffer from ws. It returns the incumbent as ascending vertex ids
 // (aliasing ws) and whether the search exhausted. With track set, ws.st
 // holds both slack certificates afterwards. An instance of at most 64
-// vertices runs branchWord, a larger one branch; both make the same
-// comparisons in the same order.
+// vertices runs branchWord, one of 65 to 128 branchPair, a larger one
+// branch; all three make the same comparisons in the same order. A
+// one-word instance also builds each rank's row in a register and its
+// clique masks a word at a time.
 //
 // The rank-space search is the id-space branch and bound with the bound's
 // clique maxima summed by rank instead of by id. Rounding can differ in the
@@ -255,11 +260,11 @@ func (ws *Workspace) exact(p *Prepared, w []float64, budget int, track bool) ([]
 	}
 	st.tol = carryTol(n, total)
 	// Every bitset of the search comes out of one zeroed arena: the rank
-	// adjacency, one mask per clique and its copy per rank, the incumbent,
-	// the root's remaining set and heads, the chosen set, the result in id
-	// space, and for the multi-word body three per recursion depth.
+	// adjacency, each rank's clique mask, one mask per clique, the
+	// incumbent, the root's remaining set and heads, the chosen set, the
+	// result in id space, and for the slice body three per recursion depth.
 	need := words * (2*n + p.ncliques + 5)
-	if words > 1 {
+	if words > 2 {
 		need += words * 3 * (n + 1)
 	}
 	if cap(ws.arena) < need {
@@ -272,48 +277,77 @@ func (ws *Workspace) exact(p *Prepared, w []float64, budget int, track bool) ([]
 		arena = arena[k*words:]
 		return b
 	}
-	st.adj = take(n)
-	for r, v := range order {
-		row := st.adj[r*words : (r+1)*words]
-		for wi, word := range p.row(v) {
-			for ; word != 0; word &= word - 1 {
-				row.set(rank[wi*64+bits.TrailingZeros64(word)])
-			}
-		}
-	}
+	st.adj, st.cmask = take(n), take(n)
 	cliques := take(p.ncliques)
-	for r, v := range order {
-		c := p.clique[v]
-		bitset(cliques[c*words : (c+1)*words]).set(r)
-	}
-	st.cmask = take(n)
-	for r, v := range order {
-		c := p.clique[v]
-		copy(st.cmask[r*words:(r+1)*words], cliques[c*words:(c+1)*words])
-	}
 	st.best = take(1)
 	full, heads, cur, ids := take(1), take(1), take(1), take(1)
-	for r := 0; r < n; r++ {
-		full.set(r)
-	}
-	// Every clique is non-empty; its head is its lowest rank.
-	for c := 0; c < p.ncliques; c++ {
-		heads.set(bitset(cliques[c*words : (c+1)*words]).next(0))
+	if words == 1 {
+		// One word per row: each rank's row builds up in a register and
+		// is stored once, each clique's mask takes one OR per member and
+		// each rank copies its clique's, and a clique's head is its mask's
+		// lowest bit.
+		for r, v := range order {
+			var row uint64
+			for word := p.arena[v]; word != 0; word &= word - 1 {
+				row |= 1 << (uint(rank[bits.TrailingZeros64(word)]) % 64)
+			}
+			st.adj[r] = row
+			cliques[p.clique[v]] |= 1 << (uint(r) % 64)
+		}
+		for r, v := range order {
+			st.cmask[r] = cliques[p.clique[v]]
+		}
+		full[0] = ^uint64(0) >> (uint(64-n) % 64)
+		for _, c := range cliques {
+			heads[0] |= c & -c
+		}
+	} else {
+		for r, v := range order {
+			row := st.adj[r*words : (r+1)*words]
+			for wi, word := range p.row(v) {
+				for ; word != 0; word &= word - 1 {
+					row.set(rank[wi*64+bits.TrailingZeros64(word)])
+				}
+			}
+			bitset(cliques[p.clique[v]*words:]).set(r)
+		}
+		for r, v := range order {
+			c := p.clique[v]
+			copy(st.cmask[r*words:(r+1)*words], cliques[c*words:(c+1)*words])
+		}
+		for r := 0; r < n; r++ {
+			full.set(r)
+		}
+		// Every clique is non-empty; its head is its lowest rank.
+		for c := 0; c < p.ncliques; c++ {
+			heads.set(bitset(cliques[c*words : (c+1)*words]).next(0))
+		}
 	}
 	// The root has no estimate to carry: a NaN one makes it sum its heads.
 	var exhausted bool
-	if words == 1 {
+	switch words {
+	case 1:
 		exhausted = st.branchWord(full[0], heads[0], 0, 0, math.NaN(), 0)
-	} else {
+	case 2:
+		exhausted = st.branchPair(full[0], full[1], heads[0], heads[1], 0, 0, 0, math.NaN(), 0)
+	default:
 		st.depthBufs = growDepth(&ws.depthBufs, n+1)
 		for i := range st.depthBufs {
 			st.depthBufs[i] = [3]bitset{take(1), take(1), take(1)}
 		}
 		exhausted = st.branch(full, heads, cur, 0, math.NaN(), 0)
 	}
-	st.best.forEach(func(r int) { ids.set(order[r]) })
+	for wi, word := range st.best {
+		for ; word != 0; word &= word - 1 {
+			ids.set(order[wi*64+bits.TrailingZeros64(word)])
+		}
+	}
 	out := ws.eout[:0]
-	ids.forEach(func(v int) { out = append(out, v) })
+	for wi, word := range ids {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, wi*64+bits.TrailingZeros64(word))
+		}
+	}
 	ws.eout = out
 	return out, exhausted
 }
@@ -426,8 +460,10 @@ func (st *search) prune(curW, ub float64) bool {
 // branch explores the remaining subproblem, whose clique heads are heads
 // and whose carried clique bound is est (see bound), given the current
 // chosen set and weight at the given recursion depth. It returns false if
-// the budget ran out. branchWord is the same search on one-word sets; the
-// two must make the same comparisons in the same order.
+// the budget ran out. It serves instances of more than 128 vertices, its
+// sets slices of the arena, three per depth. branchWord and branchPair are
+// the same search on one-word and two-word sets; all three must make the
+// same comparisons in the same order.
 func (st *search) branch(remaining, heads, cur bitset, curW, est float64, depth int) bool {
 	if st.budget == 0 {
 		return false
@@ -508,7 +544,8 @@ func (st *search) branch(remaining, heads, cur bitset, curW, est float64, depth 
 // branchWord is branch on an instance of at most 64 vertices: every set is
 // one word, passed by value, so a node copies nothing and loops over no
 // words. It makes branch's comparisons, note calls and u deposits in
-// branch's order, and carries its estimate by the same updates.
+// branch's order, and carries its estimate by the same updates;
+// branchPair does the same on two words.
 func (st *search) branchWord(remaining, heads, cur uint64, curW, est float64, depth int) bool {
 	if st.budget == 0 {
 		return false
@@ -559,6 +596,96 @@ func (st *search) branchWord(remaining, heads, cur uint64, curW, est float64, de
 		childEst += st.w[bits.TrailingZeros64(next)]
 	}
 	return st.branchWord(excl, childHeads, cur, curW, childEst, depth+1)
+}
+
+// branchPair is branch on an instance of 65 to 128 vertices: every set is
+// two words passed by value, lo for ranks 0–63 and hi for ranks 64–127,
+// and rank r's rows are adj[2r], adj[2r+1] and cmask[2r], cmask[2r+1]. It
+// makes branch's comparisons, note calls and u deposits in branch's order,
+// and carries its estimate by the same updates. Every lookup of a
+// clique's next rank starts at its head's word: no clique member ranks
+// below its head, so a head in lo looks in lo and then in hi, and a head
+// in hi looks in hi alone, which is nextAnd's answer.
+func (st *search) branchPair(remLo, remHi, headLo, headHi, curLo, curHi uint64, curW, est float64, depth int) bool {
+	if st.budget == 0 {
+		return false
+	}
+	if st.budget > 0 {
+		st.budget--
+	}
+	if st.track && depth > 0 {
+		st.noteIncumbent(curW)
+	}
+	if curW > st.bestW {
+		st.bestW = curW
+		st.best[0], st.best[1] = curLo, curHi
+	}
+	// The pivot is the lowest remaining rank; its bit is set in one word
+	// and the other's is zero.
+	var pivot int
+	var bitLo, bitHi uint64
+	switch {
+	case remLo != 0:
+		pivot = bits.TrailingZeros64(remLo)
+		bitLo = remLo & -remLo
+	case remHi != 0:
+		pivot = 64 + bits.TrailingZeros64(remHi)
+		bitHi = remHi & -remHi
+	default:
+		return true
+	}
+	est, pruned := st.bound(curW, est, bitset{headLo, headHi})
+	if pruned {
+		return true
+	}
+	exclLo, exclHi := remLo&^bitLo, remHi&^bitHi
+	if st.track {
+		if exclLo != 0 {
+			st.note(st.w[pivot] - st.w[bits.TrailingZeros64(exclLo)])
+		} else if exclHi != 0 {
+			st.note(st.w[pivot] - st.w[64+bits.TrailingZeros64(exclHi)])
+		}
+	}
+	adjLo, adjHi := st.adj[2*pivot], st.adj[2*pivot+1]
+	inclLo, inclHi := exclLo&^adjLo, exclHi&^adjHi
+	childLo, childHi := headLo&^(adjLo|bitLo), headHi&^(adjHi|bitHi)
+	rest := est - st.w[pivot]
+	childEst := rest
+	// The lo word's heads go first, each word's in ascending rank, so that
+	// childEst takes branch's updates in branch's order and rounds as its
+	// does.
+	for gone := headLo & adjLo; gone != 0; gone &= gone - 1 {
+		h := bits.TrailingZeros64(gone)
+		childEst -= st.w[h]
+		if next := inclLo & st.cmask[2*h]; next != 0 {
+			childLo |= next & -next
+			childEst += st.w[bits.TrailingZeros64(next)]
+		} else if next := inclHi & st.cmask[2*h+1]; next != 0 {
+			childHi |= next & -next
+			childEst += st.w[64+bits.TrailingZeros64(next)]
+		}
+	}
+	for gone := headHi & adjHi; gone != 0; gone &= gone - 1 {
+		h := 64 + bits.TrailingZeros64(gone)
+		childEst -= st.w[h]
+		if next := inclHi & st.cmask[2*h+1]; next != 0 {
+			childHi |= next & -next
+			childEst += st.w[64+bits.TrailingZeros64(next)]
+		}
+	}
+	if !st.branchPair(inclLo, inclHi, childLo, childHi, curLo|bitLo, curHi|bitHi, curW+st.w[pivot], childEst, depth+1) {
+		return false
+	}
+	childLo, childHi = headLo&^bitLo, headHi&^bitHi
+	childEst = rest
+	if next := exclLo & st.cmask[2*pivot]; next != 0 {
+		childLo |= next & -next
+		childEst += st.w[bits.TrailingZeros64(next)]
+	} else if next := exclHi & st.cmask[2*pivot+1]; next != 0 {
+		childHi |= next & -next
+		childEst += st.w[64+bits.TrailingZeros64(next)]
+	}
+	return st.branchPair(exclLo, exclHi, childLo, childHi, curLo, curHi, curW, childEst, depth+1)
 }
 
 // ---------------------------------------------------------------------------

@@ -301,6 +301,17 @@ func (b bitset) empty() bool {
 	return true
 }
 
+// forEach calls fn for every set bit in ascending order; refSearch uses it.
+func (b bitset) forEach(fn func(i int)) {
+	for wi, w := range b {
+		for w != 0 {
+			tz := bits.TrailingZeros64(w)
+			fn(wi*64 + tz)
+			w &= w - 1
+		}
+	}
+}
+
 // refResult is what one reference or rank-space solve reports.
 type refResult struct {
 	set       []int
@@ -351,6 +362,60 @@ func rankSolve(p *Prepared, w []float64, budget int, ws *Workspace) refResult {
 	set, exhausted := ws.exact(p, w, budget, true)
 	st := &ws.st
 	return refResult{append([]int(nil), set...), exhausted, budget - st.budget, st.slack, st.bestW - st.u}
+}
+
+// zeroTolSolve reruns the search that ws.exact last set up on an instance
+// of 65–128 vertices, from its root, in the two-word body (pair) or in the
+// slice body, with tol zeroed. It returns the result, its set in rank
+// space, and the nodes that summed their heads exactly. At the real
+// tolerance an estimate that rounds another way decides no prune
+// differently, and changes an exact-sum count only where a margin lies
+// within rounding of tol, so two bodies that carried it in another order
+// would still agree; with none, the estimate decides every prune it can
+// on its own, and they part ways at a near-tie where their estimates
+// round apart.
+func zeroTolSolve(ws *Workspace, budget int, pair bool) (refResult, int) {
+	st := &ws.st
+	n, words := len(st.w), st.words
+	full, heads, cur := make(bitset, words), make(bitset, words), make(bitset, words)
+	for r := 0; r < n; r++ {
+		full.set(r)
+		if bitset(st.cmask[r*words:(r+1)*words]).next(0) == r {
+			heads.set(r)
+		}
+	}
+	clear(st.best)
+	st.bestW, st.budget, st.tol, st.sums, st.slack, st.u = 0, budget, 0, 0, math.Inf(1), 0
+	var exhausted bool
+	if pair {
+		exhausted = st.branchPair(full[0], full[1], heads[0], heads[1], 0, 0, 0, math.NaN(), 0)
+	} else {
+		st.depthBufs = make([][3]bitset, n+1)
+		for i := range st.depthBufs {
+			st.depthBufs[i] = [3]bitset{make(bitset, words), make(bitset, words), make(bitset, words)}
+		}
+		exhausted = st.branch(full, heads, cur, 0, math.NaN(), 0)
+	}
+	var set []int
+	st.best.forEach(func(r int) { set = append(set, r) })
+	return refResult{set, exhausted, budget - st.budget, st.slack, st.bestW - st.u}, st.sums
+}
+
+// checkPairRetracesSlice is the third oracle of
+// TestRankSearchMatchesReference, run after rankSolve: on 65–128 vertices,
+// zeroTolSolve in the two-word body and in the slice body must agree bit
+// for bit, exact sums included. It checks nothing at other sizes.
+func checkPairRetracesSlice(t *testing.T, desc string, ws *Workspace, budget int) {
+	t.Helper()
+	if n := len(ws.st.w); n <= 64 || n > 128 {
+		return
+	}
+	pair, pairSums := zeroTolSolve(ws, budget, true)
+	slice, sliceSums := zeroTolSolve(ws, budget, false)
+	if !sameBits(pair, slice) || pairSums != sliceSums {
+		t.Fatalf("%s: with tol zeroed, two-word body %+v after %d exact sums, slice body %+v after %d",
+			desc, pair, pairSums, slice, sliceSums)
+	}
 }
 
 // referenceCliquePartition is the list-based greedy clique partition that
@@ -585,15 +650,16 @@ func referenceGraph(n int, density float64, src *rng.Source) *graph.Graph {
 // TestRankSearchMatchesReference pins the rank-space search to the id-space
 // one, and on every graph checks the preparation (checkPreparation, on a
 // vertex subset drawn from a stream of its own), on seeded random
-// instances: 1–130 vertices (one to three bitset
-// words), densities from sparse to dense, weight regimes 0–5, budgets from
-// 1 to 300 and at 20,000 and 50,000. Then, at n = 63, 64 and 65, the last
-// sizes of the one-word body and the first of the multi-word body, it runs
-// trials in each of those regimes. Last come trials in the two extreme
-// regimes, 6 (subnormal) and 7 (overflowing, with +Inf), held to the first
-// oracle alone: there the carried bound's tolerance is its absolute floor,
-// or infinite, so they check that every node it cannot settle sums
-// exactly. Two oracles:
+// instances: 1–130 vertices (one to three bitset words, so all three
+// search bodies), densities from sparse to dense, weight regimes 0–5,
+// budgets from 1 to 300 and at 20,000 and 50,000. Then, at n = 63, 64 and
+// 65, the last sizes of the one-word body and the first of the two-word
+// body, and at n = 127, 128 and 129, the last of the two-word body and the
+// first of the slice body, it runs trials in each of those regimes. Last
+// come trials in the two extreme regimes, 6 (subnormal) and 7
+// (overflowing, with +Inf), held to the first oracle alone: there the
+// carried bound's tolerance is its absolute floor, or infinite, so they
+// check that every node it cannot settle sums exactly. Three oracles:
 //
 //   - The id-space search with its bound summed in rank order must agree bit
 //     for bit on every trial: set, exhaustion, node count, slack and gap.
@@ -604,6 +670,10 @@ func referenceGraph(n int, density float64, src *rng.Source) *graph.Graph {
 //     and match node count and slack up to rounding wherever its slack
 //     exceeds 1e-9: no comparison is then near enough to a tie for the
 //     summation order to flip it.
+//   - On 65–128 vertices, the two-word body and the slice body rerun with
+//     the tolerance zeroed (zeroTolSolve) must agree bit for bit, exact
+//     sums included: the two carry the same estimate by the same float
+//     operations in the same order.
 func TestRankSearchMatchesReference(t *testing.T) {
 	const trials = 1500
 	var ws Workspace
@@ -614,6 +684,7 @@ func TestRankSearchMatchesReference(t *testing.T) {
 		p.Prepare(g, &ws)
 		checkPreparation(t, desc, g, &p, &q, subsets, &ws)
 		got := rankSolve(&p, w, budget, &ws)
+		checkPairRetracesSlice(t, desc, &ws, budget)
 		if alt := refSolve(&p, w, budget, true); !reflect.DeepEqual(got, alt) {
 			t.Fatalf("%s: rank-space %+v, id-space with rank-order bound %+v", desc, got, alt)
 		}
@@ -650,7 +721,7 @@ func TestRankSearchMatchesReference(t *testing.T) {
 		t.Fatalf("only %d of %d trials had a reference slack above 1e-9", compared, trials)
 	}
 	src = rng.New(2012)
-	for _, n := range []int{63, 64, 65} {
+	for _, n := range []int{63, 64, 65, 127, 128, 129} {
 		for regime := 0; regime < 6; regime++ {
 			for k := 0; k < 4; k++ {
 				density := referenceDensities[src.Intn(len(referenceDensities))]
@@ -681,22 +752,24 @@ func TestRankSearchMatchesReference(t *testing.T) {
 }
 
 // FuzzRankSearchMatchesReference fuzzes TestRankSearchMatchesReference's
-// first oracle: the rank-space search must agree bit for bit with the
-// id-space search whose bound is summed in rank order (set, exhaustion,
-// node count, slack and gap). It also checks the preparation
-// (checkPreparation), on a vertex subset drawn from the seed's "subset"
-// split, a stream apart from the graph's and the weights'. The inputs
-// choose the graph's seed, n in
-// 1–130, the edge density (densityRaw/255), a weight regime of
-// referenceWeights (regimeRaw % 8) and a budget in 1–65,536. Floats are
-// compared by bit pattern (sameBits). The committed corpus under
-// testdata/fuzz sits at n = 63, 64 and 65, across the boundary between the
-// one-word and multi-word bodies, in the all-2.0 and 1-ulp near-tie
-// regimes, with one entry each at n = 64 and 65 in the subnormal and
-// overflowing regimes.
+// first and third oracles: the rank-space search must agree bit for bit
+// with the id-space search whose bound is summed in rank order (set,
+// exhaustion, node count, slack and gap), and on 65–128 vertices the
+// two-word body with the slice body at zero tolerance. It also checks the
+// preparation (checkPreparation), on a vertex subset drawn from the seed's
+// "subset" split, a stream apart from the graph's and the weights'. The
+// inputs choose the graph's seed, n in 1–256 (one to four bitset words, so
+// all three search bodies), the edge density (densityRaw/255), a weight
+// regime of referenceWeights (regimeRaw % 8) and a budget in 1–65,536.
+// Floats are compared by bit pattern (sameBits). The committed corpus
+// under testdata/fuzz sits on both body boundaries: at n = 63, 64 and 65,
+// between the one-word and two-word bodies, and at n = 127, 128 and 129,
+// between the two-word and slice bodies, in the all-2.0 and 1-ulp
+// near-tie regimes, with one entry each at n = 64, 65, 128 and 129 in the
+// subnormal and overflowing regimes.
 func FuzzRankSearchMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, densityRaw, regimeRaw uint8, budgetRaw uint16) {
-		n := 1 + int(nRaw)%130
+		n := 1 + int(nRaw)
 		density := float64(densityRaw) / 255
 		regime := int(regimeRaw) % 8
 		budget := 1 + int(budgetRaw)
@@ -707,10 +780,11 @@ func FuzzRankSearchMatchesReference(f *testing.F) {
 		var p, q Prepared
 		p.Prepare(g, &ws)
 		checkPreparation(t, fmt.Sprintf("n=%d density=%v", n, density), g, &p, &q, rng.New(seed).Split("subset"), &ws)
+		desc := fmt.Sprintf("n=%d density=%v regime=%d budget=%d", n, density, regime, budget)
 		got := rankSolve(&p, w, budget, &ws)
+		checkPairRetracesSlice(t, desc, &ws, budget)
 		if want := refSolve(&p, w, budget, true); !sameBits(got, want) {
-			t.Fatalf("n=%d density=%v regime=%d budget=%d: rank-space %+v, id-space with rank-order bound %+v",
-				n, density, regime, budget, got, want)
+			t.Fatalf("%s: rank-space %+v, id-space with rank-order bound %+v", desc, got, want)
 		}
 	})
 }

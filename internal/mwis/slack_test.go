@@ -25,8 +25,11 @@ func solvePreparedTracked(t *testing.T, h Hybrid, p *Prepared, w []float64, ws *
 // rests on: for any weight vector whose L1 distance to the solved vector
 // stays strictly below the reported slack, a from-scratch solve returns the
 // identical set. Randomized over topologies, densities and drift shapes:
-// 120 trials of 2–19 vertices, which the one-word search body solves, and
-// 40 sparse ones of 65–100 vertices for the multi-word body.
+// 120 trials of 2–19 vertices, which the one-word search body solves, 40
+// sparse ones of 65–100 vertices for the two-word body, and 20 of 129–160
+// vertices for the slice body. Those are dense (density 0.4–0.8): at that
+// size a sparse instance's clique bound is loose enough that its search
+// stops at the node budget, which certifies nothing.
 func TestSlackCertificateSoundness(t *testing.T) {
 	small := checkSlackSoundness(t, 120, rng.New(71), 2, 18, 0.1, 0.6)
 	if small.certified < 40 || small.driftTrials < 200 {
@@ -35,6 +38,10 @@ func TestSlackCertificateSoundness(t *testing.T) {
 	wide := checkSlackSoundness(t, 40, rng.New(72), 65, 36, 0.02, 0.04)
 	if wide.certified < 10 || wide.driftTrials < 100 {
 		t.Fatalf("weak coverage over 65–100 vertices: %d certified solves, %d drift trials", wide.certified, wide.driftTrials)
+	}
+	widest := checkSlackSoundness(t, 20, rng.New(73), 129, 32, 0.4, 0.4)
+	if widest.certified < 10 || widest.driftTrials < 100 {
+		t.Fatalf("weak coverage over 129–160 vertices: %d certified solves, %d drift trials", widest.certified, widest.driftTrials)
 	}
 }
 

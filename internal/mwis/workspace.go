@@ -148,8 +148,9 @@ func growBools(s *[]bool, n int) []bool {
 // comparator, which is a total order on ids with non-NaN weights, so every
 // sorting algorithm yields the same permutation. Up to 64 ids, the balls
 // the one-word search body takes, an inline insertion sort makes no
-// function call. Longer orders, up to Exact over all of H, keep
-// slices.SortFunc: insertion's cost grows with the square of the length.
+// function call. Longer orders, the two-word and slice bodies' balls up to
+// Exact over all of H, keep slices.SortFunc: insertion's cost grows with
+// the square of the length.
 func sortByWeight(order []int, w []float64) {
 	if len(order) <= 64 {
 		for i := 1; i < len(order); i++ {

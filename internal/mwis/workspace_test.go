@@ -45,7 +45,7 @@ func tieWeight(regime int, src *rng.Source) float64 {
 // density, including budgeted exact searches that exhaust their budget,
 // under continuous weights and under each exact-tie regime. Instances of
 // 4–27 vertices run the one-word search body, sparse ones of 65–100 the
-// multi-word body. The references are the allocating Greedy and Hybrid
+// two-word body and ones of 129–160 the slice body. The references are the allocating Greedy and Hybrid
 // bodies (reference_test.go); Exact has only its workspace body, which
 // TestRankSearchMatchesReference pins, so its pooled Solve is its
 // reference here.
@@ -65,8 +65,8 @@ func TestSolveWorkspaceMatchesSolve(t *testing.T) {
 		{Hybrid{Budget: 8}, hybrid(Hybrid{Budget: 8})},
 		{Hybrid{MaxExactNodes: 10}, hybrid(Hybrid{MaxExactNodes: 10})}, // forces the greedy-only branch
 	}
-	// Over 65–100 vertices an unbudgeted search can run for minutes, so the
-	// wide trials run it under the decider's budget.
+	// Over 64 vertices an unbudgeted search can run for minutes, so the
+	// wide and widest trials run it under the decider's budget.
 	wide := slices.Clone(solvers)
 	wide[1] = solverCase{Exact{Budget: 50000}, Exact{Budget: 50000}.Solve}
 	var ws Workspace
@@ -111,7 +111,8 @@ func TestSolveWorkspaceMatchesSolve(t *testing.T) {
 			check(fmt.Sprintf("seed %d %s", seed, name), in)
 		}
 	}
-	// 65–100 vertices at sparse densities, for the multi-word search body.
+	// 65–100 vertices at sparse densities, for the two-word search body,
+	// and 129–160 at densities from sparse to dense, for the slice body.
 	for seed := int64(0); seed < 10; seed++ {
 		src := rng.New(seed + 3000)
 		n := 65 + src.Intn(36)
@@ -122,6 +123,18 @@ func TestSolveWorkspaceMatchesSolve(t *testing.T) {
 				in.W[i] = tieWeight(regime, src)
 			}
 			check(fmt.Sprintf("seed %d wide %s", seed, name), in)
+		}
+	}
+	for seed := int64(0); seed < 6; seed++ {
+		src := rng.New(seed + 3100)
+		n := 129 + src.Intn(32)
+		in := randomInstance(n, 0.02+0.6*src.Float64(), src)
+		check(fmt.Sprintf("seed %d widest", seed), in)
+		for regime, name := range tieRegimes {
+			for i := range in.W {
+				in.W[i] = tieWeight(regime, src)
+			}
+			check(fmt.Sprintf("seed %d widest %s", seed, name), in)
 		}
 	}
 }
@@ -151,10 +164,10 @@ func TestSolveWorkspaceEmptyAndInvalid(t *testing.T) {
 
 // TestSolveWorkspaceNoAllocs asserts a warmed workspace solves without heap
 // allocations — the property the protocol decider's hot path relies on — on
-// an 18-vertex instance (the one-word search body) and an 80-vertex one
-// (the multi-word body), dense enough to solve quickly.
+// instances of 18, 80 and 140 vertices, one for each search body (one-word,
+// two-word and slice), dense enough to solve quickly.
 func TestSolveWorkspaceNoAllocs(t *testing.T) {
-	for _, in := range []Instance{randomInstance(18, 0.25, rng.New(9)), randomInstance(80, 0.3, rng.New(10))} {
+	for _, in := range []Instance{randomInstance(18, 0.25, rng.New(9)), randomInstance(80, 0.3, rng.New(10)), randomInstance(140, 0.5, rng.New(18))} {
 		var ws Workspace
 		for _, s := range []workspaceSolver{Greedy{}, Exact{}, Hybrid{}} {
 			if _, err := s.SolveWorkspace(in, &ws); err != nil { // warm
@@ -182,8 +195,8 @@ func TestSolveWorkspaceNoAllocs(t *testing.T) {
 // Solve returns ErrBudgetExceeded, and no slack although it is asked for.
 // It runs under continuous weights and under each exact-tie regime, whose
 // drifts redraw from the regime. As in TestSolveWorkspaceMatchesSolve,
-// instances of 4–27 vertices run the one-word search body and sparse ones
-// of 65–100 the multi-word body.
+// instances of 4–27 vertices run the one-word search body, sparse ones of
+// 65–100 the two-word body and ones of 129–160 the slice body.
 func TestSolvePreparedMatchesSolve(t *testing.T) {
 	hybrids := []Hybrid{
 		{},
@@ -252,7 +265,8 @@ func TestSolvePreparedMatchesSolve(t *testing.T) {
 			run(fmt.Sprintf("seed %d %s", seed, name), in, src, draw)
 		}
 	}
-	// 65–100 vertices at sparse densities, for the multi-word search body.
+	// 65–100 vertices at sparse densities, for the two-word search body,
+	// and 129–160 at densities from sparse to dense, for the slice body.
 	for seed := int64(0); seed < 10; seed++ {
 		src := rng.New(seed + 4000)
 		n := 65 + src.Intn(36)
@@ -264,6 +278,19 @@ func TestSolvePreparedMatchesSolve(t *testing.T) {
 				in.W[i] = draw()
 			}
 			run(fmt.Sprintf("seed %d wide %s", seed, name), in, src, draw)
+		}
+	}
+	for seed := int64(0); seed < 6; seed++ {
+		src := rng.New(seed + 4100)
+		n := 129 + src.Intn(32)
+		run(fmt.Sprintf("seed %d widest", seed), randomInstance(n, 0.02+0.6*src.Float64(), src), src, src.Float64)
+		for regime, name := range tieRegimes {
+			in := randomInstance(n, 0.02+0.6*src.Float64(), src)
+			draw := func() float64 { return tieWeight(regime, src) }
+			for i := range in.W {
+				in.W[i] = draw()
+			}
+			run(fmt.Sprintf("seed %d widest %s", seed, name), in, src, draw)
 		}
 	}
 }
@@ -376,13 +403,13 @@ func TestSolvePreparedBudgetStop(t *testing.T) {
 }
 
 // TestSolvePreparedNoAllocs asserts the prepared+workspace hot path is
-// allocation-free once warm, on an 18-vertex instance (the one-word search
-// body) and an 80-vertex one (the multi-word body), dense enough to solve
-// quickly. It then asserts the same of the decider's memo-miss cycle,
-// PrepareInduced over a parent's adjacency rows and a certified
-// SolvePrepared, on balls of 18 and 80 vertices.
+// allocation-free once warm, on instances of 18, 80 and 140 vertices, one
+// for each search body (one-word, two-word and slice), dense enough to
+// solve quickly. It then asserts the same of the decider's memo-miss
+// cycle, PrepareInduced over a parent's adjacency rows and a certified
+// SolvePrepared, on balls of 18, 80 and 140 vertices.
 func TestSolvePreparedNoAllocs(t *testing.T) {
-	for _, in := range []Instance{randomInstance(18, 0.25, rng.New(13)), randomInstance(80, 0.3, rng.New(14))} {
+	for _, in := range []Instance{randomInstance(18, 0.25, rng.New(13)), randomInstance(80, 0.3, rng.New(14)), randomInstance(140, 0.5, rng.New(19))} {
 		var ws Workspace
 		var pre Prepared
 		pre.Prepare(in.G, &ws)
@@ -401,7 +428,7 @@ func TestSolvePreparedNoAllocs(t *testing.T) {
 		n       int
 		density float64
 		seed    int64
-	}{{18, 0.25, 15}, {80, 0.3, 16}} {
+	}{{18, 0.25, 15}, {80, 0.3, 16}, {140, 0.5, 20}} {
 		// The ball is every other vertex of a parent twice its size.
 		parent := randomInstance(2*c.n, c.density, rng.New(c.seed))
 		rows := adjacencyRows(parent.G)
