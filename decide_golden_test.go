@@ -33,8 +33,9 @@ func tenByTwo(seed, noise int64, y int) spec.ScenarioSpec {
 
 // decideWorkGolden holds one instance of each BENCHMARK.json workload's
 // shape, the number of sampled slots the gate drives it for, and the work
-// one run does. The seeds are fixed and unrelated to stackbench's, which
-// draws its own.
+// one run does, plus a cold start of paper-scale's shape: the first slots
+// of a new instance, whose local searches are the hardest it runs. The
+// seeds are fixed and unrelated to stackbench's, which draws its own.
 var decideWorkGolden = []struct {
 	name  string
 	spec  spec.ScenarioSpec
@@ -64,6 +65,24 @@ var decideWorkGolden = []struct {
 		},
 		messages: 1947739,
 		digest:   0xa65ea704f809d206,
+	}},
+	// paper-scale's shape on another network, over its first 8 slots only:
+	// every arm is unseen, all indices tie at the unseen-arm index, and
+	// the local searches are at their hardest.
+	{"paper-scale-cold", spec.ScenarioSpec{
+		Seed: 23, NoiseSeed: 24,
+		Topology: spec.TopologySpec{Kind: spec.TopologyRandom, N: 100, TargetDegree: 6},
+		Channel:  spec.ChannelSpec{Kind: spec.ChannelGaussian, M: 5},
+		Policy:   spec.PolicySpec{Kind: spec.PolicyZhouLi},
+		Decision: spec.DecisionSpec{UpdateEvery: 1},
+	}, 8, decideWork{
+		stats: protocol.DecideStats{
+			FullDecides: 8, SensitivitySkips: 5, MemoStructHits: 4, MemoMisses: 120, BudgetStops: 3,
+			MiniRounds: 32, WeightBroadcasts: 617, LeaderDeclarations: 129, LocalBroadcasts: 129,
+			MiniTimeslots: 616,
+		},
+		messages: 128049,
+		digest:   0x1957a801f722d102,
 	}},
 	{"observe-wire-durable", tenByTwo(31, 32, 4), 2048, decideWork{
 		stats: protocol.DecideStats{
