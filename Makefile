@@ -44,15 +44,18 @@ race:
 stackbench-test:
 	cd stackbench && $(GO) vet ./... && $(GO) test ./...
 
-# Thirty seconds of native fuzzing for each of two targets: the decider
-# against its from-scratch oracle (FuzzDeciderMatchesReference), then the
-# local MWIS's rank-space search against the id-space one
-# (FuzzRankSearchMatchesReference); `make test` only replays the committed
-# corpora. A diverging input is written under the package's testdata/fuzz
-# and fails the target.
+# Thirty seconds of native fuzzing for each of three targets: the decider
+# against its from-scratch oracle (FuzzDeciderMatchesReference), the local
+# MWIS's rank-space search against the id-space one
+# (FuzzRankSearchMatchesReference), then the local solve's replay
+# certificate against re-solves under drifted weights
+# (FuzzSlackCertificate); `make test` only replays the committed corpora.
+# A diverging input is written under the package's testdata/fuzz and fails
+# the target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeciderMatchesReference$$' -fuzztime 30s ./internal/protocol
 	$(GO) test -run '^$$' -fuzz '^FuzzRankSearchMatchesReference$$' -fuzztime 30s ./internal/mwis
+	$(GO) test -run '^$$' -fuzz '^FuzzSlackCertificate$$' -fuzztime 30s ./internal/mwis
 
 # Full benchmark suite (slow; regenerates every figure several times).
 bench:

@@ -110,25 +110,30 @@ func solveCases(tb testing.TB) []solveCase {
 // ball in turn with the slack certificate requested, as the decider does.
 // nodes/op is the branch-and-bound nodes spent per solve, exact/op the
 // nodes among them that summed their clique heads exactly because the
-// carried bound could not decide alone (search.bound), and ns/node the
+// carried bound could not decide alone (search.bound), stops/op the solves
+// that stopped at the node budget (Workspace.BudgetStop), and ns/node the
 // time per node, set-up included.
 func BenchmarkSolvePrepared(b *testing.B) {
 	h := Hybrid{Budget: solveBudget}
 	for _, bc := range solveCases(b) {
 		b.Run(bc.name, func(b *testing.B) {
 			ws := Workspace{TrackSlack: true}
-			nodes, sums := 0, 0
+			nodes, sums, stops := 0, 0, 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := i % len(bc.balls)
 				if _, err := h.SolvePrepared(&bc.balls[k], bc.weights[k], &ws); err != nil {
 					b.Fatal(err)
 				}
-				nodes += solveBudget - ws.st.budget
+				nodes += ws.st.nodes
 				sums += ws.st.sums
+				if ws.BudgetStop {
+					stops++
+				}
 			}
 			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 			b.ReportMetric(float64(sums)/float64(b.N), "exact/op")
+			b.ReportMetric(float64(stops)/float64(b.N), "stops/op")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 		})
 	}

@@ -2,6 +2,7 @@ package mwis
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -16,18 +17,20 @@ type solveWork struct {
 }
 
 // goldenWideBalls is how many of the "wide" case's balls the golden
-// solves: about half a second of a plain build, most of it spent at the
-// budget. All of them have at most 128 vertices, so they pin the two-word
+// solves. All of them have at most 128 vertices, so they pin the two-word
 // body; "widest", solved whole, pins the slice body.
 const goldenWideBalls = 160
 
 // solveWorkGolden is the local search's work on solveCases, wide cut to
-// goldenWideBalls, one solve per ball.
+// goldenWideBalls, one solve per ball. Before the search switched to the
+// cover bound past coverAfter nodes, these read uniform 462,618 nodes;
+// unseen 8,000,313 nodes and 87 stops; wide 6,083,567 nodes and 91 stops;
+// widest 500,000 nodes and 10 stops.
 var solveWorkGolden = map[string]solveWork{
-	"uniform": {nodes: 462618, stops: 0, sums: 4937, digest: 0xbb5dac163d87dd6d},
-	"unseen":  {nodes: 8000313, stops: 87, sums: 3123474, digest: 0x6d7ae66b74406fdd},
-	"wide":    {nodes: 6083567, stops: 91, sums: 2680, digest: 0xe82a1ef307439749},
-	"widest":  {nodes: 500000, stops: 10, sums: 207, digest: 0x6b844319e2747025},
+	"uniform": {nodes: 256408, stops: 0, sums: 4578, digest: 0x244f5609f6b49eb2},
+	"unseen":  {nodes: 820694, stops: 0, sums: 227242, digest: 0x333b0b555b6fe973},
+	"wide":    {nodes: 521389, stops: 1, sums: 1377, digest: 0x77309c7f09c98cc6},
+	"widest":  {nodes: 379912, stops: 6, sums: 107, digest: 0x6d1abac18597a67f},
 }
 
 // TestSolvePreparedWorkGolden pins the local search's work on
@@ -53,7 +56,7 @@ func TestSolvePreparedWorkGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got.nodes += solveBudget - ws.st.budget
+			got.nodes += ws.st.nodes
 			got.sums += ws.st.sums
 			if ws.BudgetStop {
 				got.stops++
@@ -81,5 +84,23 @@ func TestSolvePreparedWorkGolden(t *testing.T) {
 		if got.digest != want.digest {
 			t.Errorf("%s: sets and slacks digest %#x, want %#x", c.name, got.digest, want.digest)
 		}
+	}
+}
+
+// TestSolveCasesSameAnswer runs checkSameAnswer on every ball of
+// solveCases, wide cut to goldenWideBalls, under its weights.
+func TestSolveCasesSameAnswer(t *testing.T) {
+	var ws Workspace
+	for _, c := range solveCases(t) {
+		if c.name == "wide" {
+			c.balls, c.weights = c.balls[:goldenWideBalls], c.weights[:goldenWideBalls]
+		}
+		checked := 0
+		for k := range c.balls {
+			if checkSameAnswer(t, fmt.Sprintf("%s ball %d", c.name, k), &c.balls[k], c.weights[k], &ws) {
+				checked++
+			}
+		}
+		t.Logf("%s: %d of %d balls", c.name, checked, len(c.balls))
 	}
 }

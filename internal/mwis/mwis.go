@@ -108,9 +108,11 @@ var ErrBudgetExceeded = errors.New("mwis: branch-and-bound budget exceeded")
 // heaviest remaining vertex (ties toward the lower id), including it first.
 // The upper bound is a greedy clique partition (each clique contributes at
 // most its heaviest remaining member), which is tight on the extended
-// conflict graph H where every node's channel copies form a clique. Each
-// search first relabels the instance by descending weight, so that both the
-// pivot and the bound are bit scans (see search).
+// conflict graph H where every node's channel copies form a clique; past
+// its first coverAfter nodes a search also tries a greedy clique cover of
+// each node's own remaining set. Each search first relabels the instance
+// by descending weight, so that both the pivot and the bound are bit scans
+// (see search).
 type Exact struct {
 	// MaxNodes rejects instances larger than this (0 = 4096) to guard
 	// against accidentally exponential calls.
@@ -160,7 +162,9 @@ func solvePooled(in Instance, solve func(Instance, *Workspace) ([]int, error)) (
 // each child updates by the few heads its branch swapped. A node re-sums
 // its heads only where the estimate's rounding could change a prune, a
 // margin note or a gap deposit (see bound), so each of those is what an
-// exact sum at every node would give.
+// exact sum at every node would give. Past coverAfter nodes, a node the
+// carried bound leaves open also builds a clique cover of its remaining
+// set and prunes on its heads (coverWord).
 //
 // Rows are rank-major, words words each: row r of adj is
 // adj[r*words:(r+1)*words]. The body that runs the search is chosen by
@@ -176,6 +180,7 @@ type search struct {
 	best   bitset
 	bestW  float64
 	budget int // remaining nodes; negative means unlimited
+	nodes  int // nodes entered, counted under any budget (see coverAfter)
 
 	// tol bounds the rounding that separates a carried estimate from the
 	// exact heads sum, plus the comparison's own (see bound); sums counts
@@ -457,6 +462,143 @@ func (st *search) prune(curW, ub float64) bool {
 	return false
 }
 
+// coverAfter is the node count past which a search bounds each node twice.
+// Every node first tries the static bound, the heads of the partition that
+// Prepared fixed at the root, which the node carries from its parent
+// (bound). From the search's (coverAfter+1)-th node on, a node that the
+// static bound leaves open also sums the heads of a greedy clique cover of
+// its own remaining set (coverWord) and prunes on that sum. The static
+// partition was fitted to the whole ball; deep in a hard search the
+// remaining set is a small part of it, and the cover fitted to that part
+// is the colouring bound of max-clique branch and bound (E. Tomita and T.
+// Seki, DMTCS 2003; bit-parallel in P. San Segundo et al., Computers & OR
+// 38(2), 2011), applied to the complement. It costs a pass over the
+// remaining set per node, so easy searches never build one: a search that
+// ends within coverAfter nodes makes exactly the comparisons, and keeps
+// exactly the certificates, of a search without it. The pivot rule is
+// untouched and a prune never drops a set heavier than the incumbent, so
+// whatever bound prunes it, a search that finishes returns the first
+// maximum-weight set in include-first order.
+const coverAfter = 1024
+
+// open reports whether a node of weight curW whose cover heads sum to at
+// least sum so far stays open. Every head is non-negative and adding one
+// never lowers a float sum, so once curW+sum exceeds bestW the whole sum
+// does too, and prune would keep the node; the cover builders stop there.
+func (st *search) open(curW, sum float64) bool { return curW+sum > st.bestW }
+
+// coverWord reports whether the cover bound of remaining prunes a node of
+// weight curW, one word, and runs prune on it. The lowest remaining rank
+// opens a clique, every later rank adjacent to all of its members joins it
+// in ascending rank, and the next clique opens at the lowest rank left. A
+// clique's opener is its head, its heaviest member, so the heads' sum
+// bounds every independent set in remaining; they add in ascending rank.
+// Built one clique at a time, a clique's candidates are the remaining
+// ranks adjacent to every member so far, so each member narrows them by
+// its row. That is the same partition as placing each rank in turn into
+// the first clique whose members are all its neighbours (reference_test.go
+// builds it that way).
+//
+// The cover depends on the whole rank order, which no margin the traversal
+// slack records certifies, so building one voids that certificate. The
+// uniqueness gap stays sound: the sum bounds every set in the subtree it
+// prunes, and prune deposits it.
+func (st *search) coverWord(curW float64, remaining uint64) bool {
+	st.note(0)
+	sum := 0.0
+	for remaining != 0 {
+		v := bits.TrailingZeros64(remaining)
+		if sum += st.w[v]; st.open(curW, sum) {
+			return false
+		}
+		q := remaining & st.adj[v]
+		remaining &= remaining - 1
+		for q != 0 {
+			remaining &^= q & -q
+			q &= st.adj[bits.TrailingZeros64(q)]
+		}
+	}
+	return st.prune(curW, sum)
+}
+
+// coverPair is coverWord on two words, lo for ranks 0–63 and hi for ranks
+// 64–127. A clique opened in lo takes its lo members before its hi ones,
+// ascending rank, and once lo is empty every clique lies in hi.
+func (st *search) coverPair(curW float64, lo, hi uint64) bool {
+	st.note(0)
+	sum := 0.0
+	for lo != 0 {
+		v := bits.TrailingZeros64(lo)
+		if sum += st.w[v]; st.open(curW, sum) {
+			return false
+		}
+		qLo, qHi := lo&st.adj[2*v], hi&st.adj[2*v+1]
+		lo &= lo - 1
+		for qLo != 0 {
+			u := bits.TrailingZeros64(qLo)
+			lo &^= qLo & -qLo
+			qLo &= st.adj[2*u]
+			qHi &= st.adj[2*u+1]
+		}
+		for qHi != 0 {
+			u := 64 + bits.TrailingZeros64(qHi)
+			hi &^= qHi & -qHi
+			qHi &= st.adj[2*u+1]
+		}
+	}
+	for hi != 0 {
+		v := 64 + bits.TrailingZeros64(hi)
+		if sum += st.w[v]; st.open(curW, sum) {
+			return false
+		}
+		q := hi & st.adj[2*v+1]
+		hi &= hi - 1
+		for q != 0 {
+			u := 64 + bits.TrailingZeros64(q)
+			hi &^= q & -q
+			q &= st.adj[2*u+1]
+		}
+	}
+	return st.prune(curW, sum)
+}
+
+// coverSlice is coverWord on sets of st.words words, built in rem and q:
+// scratch bitsets of the node's depth, which its children fill only later.
+// No rank left in rem or q lies below the clique's head or below the
+// member just taken, so each pass starts at that rank's word, and the
+// word being taken from stays in a register.
+func (st *search) coverSlice(curW float64, remaining, rem, q bitset) bool {
+	words := st.words
+	st.note(0)
+	copy(rem, remaining)
+	sum := 0.0
+	for wi := range rem {
+		for rem[wi] != 0 {
+			v := wi*64 + bits.TrailingZeros64(rem[wi])
+			if sum += st.w[v]; st.open(curW, sum) {
+				return false
+			}
+			rem[wi] &= rem[wi] - 1
+			row := st.adj[v*words : (v+1)*words]
+			for i := wi; i < words; i++ {
+				q[i] = rem[i] & row[i]
+			}
+			for qi := wi; qi < words; qi++ {
+				for cur := q[qi]; cur != 0; {
+					b := cur & -cur
+					rem[qi] &^= b
+					row := st.adj[(qi*64+bits.TrailingZeros64(b))*words:]
+					cur &= row[qi]
+					for i := qi + 1; i < words; i++ {
+						q[i] &= row[i]
+					}
+				}
+			}
+		}
+	}
+	return st.prune(curW, sum)
+}
+
 // branch explores the remaining subproblem, whose clique heads are heads
 // and whose carried clique bound is est (see bound), given the current
 // chosen set and weight at the given recursion depth. It returns false if
@@ -471,6 +613,7 @@ func (st *search) branch(remaining, heads, cur bitset, curW, est float64, depth 
 	if st.budget > 0 {
 		st.budget--
 	}
+	st.nodes++
 	if st.track && depth > 0 {
 		st.noteIncumbent(curW)
 	}
@@ -488,6 +631,10 @@ func (st *search) branch(remaining, heads, cur bitset, curW, est float64, depth 
 	if pruned {
 		return true
 	}
+	bufs := &st.depthBufs[depth]
+	if st.nodes > coverAfter && st.coverSlice(curW, remaining, bufs[0], bufs[1]) {
+		return true
+	}
 	// The pivot choice depends on one margin, max − runner-up (the next
 	// remaining rank): under any drift below it the pivot stays the strict
 	// maximum, however the other vertices reorder among themselves. A
@@ -500,7 +647,6 @@ func (st *search) branch(remaining, heads, cur bitset, curW, est float64, depth 
 	}
 	words := st.words
 	adj := st.adj[pivot*words : (pivot+1)*words]
-	bufs := &st.depthBufs[depth]
 	excl, incl, childHeads := bufs[0], bufs[1], bufs[2]
 	copy(excl, remaining)
 	excl.clear(pivot)
@@ -553,6 +699,7 @@ func (st *search) branchWord(remaining, heads, cur uint64, curW, est float64, de
 	if st.budget > 0 {
 		st.budget--
 	}
+	st.nodes++
 	if st.track && depth > 0 {
 		st.noteIncumbent(curW)
 	}
@@ -565,7 +712,7 @@ func (st *search) branchWord(remaining, heads, cur uint64, curW, est float64, de
 	}
 	pivot := bits.TrailingZeros64(remaining)
 	est, pruned := st.bound(curW, est, bitset{heads})
-	if pruned {
+	if pruned || st.nodes > coverAfter && st.coverWord(curW, remaining) {
 		return true
 	}
 	bit := uint64(1) << pivot
@@ -613,6 +760,7 @@ func (st *search) branchPair(remLo, remHi, headLo, headHi, curLo, curHi uint64, 
 	if st.budget > 0 {
 		st.budget--
 	}
+	st.nodes++
 	if st.track && depth > 0 {
 		st.noteIncumbent(curW)
 	}
@@ -635,7 +783,7 @@ func (st *search) branchPair(remLo, remHi, headLo, headHi, curLo, curHi uint64, 
 		return true
 	}
 	est, pruned := st.bound(curW, est, bitset{headLo, headHi})
-	if pruned {
+	if pruned || st.nodes > coverAfter && st.coverPair(curW, remLo, remHi) {
 		return true
 	}
 	exclLo, exclHi := remLo&^bitLo, remHi&^bitHi

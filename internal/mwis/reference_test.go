@@ -95,8 +95,10 @@ func referenceHybridSolve(h Hybrid, in Instance) ([]int, error) {
 
 // The id-space branch and bound follows. refSearch, note, upperBound and
 // branch are that code verbatim, except for the renamed type, the added
-// sumByRank and maxima fields, and branch calling bound where it called
-// upperBound. With sumByRank unset, bound is upperBound.
+// sumByRank, maxima, cover, nodes and first-fit fields, branch calling
+// bound where it called upperBound, and branch counting its nodes and
+// trying coverBound past coverAfter when cover is set. With sumByRank and
+// cover unset, it is the static-bound search as it was.
 
 type refSearch struct {
 	n        int
@@ -137,6 +139,16 @@ type refSearch struct {
 	// sumByRank re-sums each bound in rank order (see bound).
 	sumByRank bool
 	maxima    []float64
+
+	// cover bounds every node past coverAfter that the static bound leaves
+	// open by its first-fit clique cover as well (see coverBound); nodes
+	// counts the nodes entered, order lists every vertex by descending
+	// weight, ties toward the lower id, and cliques holds, per clique of
+	// the cover being built, the vertices adjacent to all of its members.
+	cover   bool
+	nodes   int
+	order   []int
+	cliques []bitset
 }
 
 // note records one weight-dependent comparison's margin. A zero diff is a
@@ -183,6 +195,7 @@ func (st *refSearch) branch(remaining bitset, curW float64, cur bitset, depth in
 	if st.budget > 0 {
 		st.budget--
 	}
+	st.nodes++
 	// Incumbent comparison: curW − bestW is a ±1-weighted sum over the
 	// symmetric difference of the two sets, so an L1 weight drift below
 	// |curW − bestW| cannot flip it. Depth 0 compares two empty sums (0 > 0,
@@ -222,6 +235,19 @@ func (st *refSearch) branch(remaining bitset, curW float64, cur bitset, depth in
 			st.u = curW + ub
 		}
 		return true // pruned
+	}
+	if st.cover && st.nodes > coverAfter {
+		// The cover follows the whole weight order, so it voids the
+		// traversal slack; its prune deposits its bound as the static
+		// prune does.
+		ub := st.coverBound(remaining)
+		st.note(0)
+		if curW+ub <= st.bestW {
+			if st.track && curW+ub > st.u {
+				st.u = curW + ub
+			}
+			return true
+		}
 	}
 	// Branch on the heaviest remaining vertex (ties toward lower id). The
 	// scan's outcome is exactly the argmax with first-index tie-breaking, so
@@ -291,6 +317,61 @@ func (st *refSearch) bound(remaining bitset) float64 {
 	return ub
 }
 
+// coverBound is the rank-space search's cover bound (coverWord) in id
+// space, built a vertex at a time rather than a clique at a time: the
+// remaining vertices by descending weight, ties toward the lower id, each
+// placed in the first clique whose members are all its neighbours, that
+// is, the first whose members' rows all hold it, or else opening a new
+// one. Each clique's first member is its heaviest, and the bound adds
+// them in the order their cliques opened.
+func (st *refSearch) coverBound(remaining bitset) float64 {
+	if st.order == nil {
+		st.order = make([]int, st.n)
+		for v := range st.order {
+			st.order[v] = v
+		}
+		slices.SortFunc(st.order, func(a, b int) int {
+			switch {
+			case st.w[a] > st.w[b]:
+				return -1
+			case st.w[a] < st.w[b]:
+				return 1
+			}
+			return a - b
+		})
+	}
+	heads := st.maxima[:0]
+	for _, v := range st.order {
+		if !remaining.has(v) {
+			continue
+		}
+		fits := 0
+		for fits < len(heads) && !st.cliques[fits].has(v) {
+			fits++
+		}
+		if fits == len(heads) {
+			if fits == len(st.cliques) {
+				st.cliques = append(st.cliques, newBitset(st.n))
+			}
+			copy(st.cliques[fits], st.adj[v])
+			heads = append(heads, st.w[v])
+			continue
+		}
+		for i, word := range st.adj[v] {
+			st.cliques[fits][i] &= word
+		}
+	}
+	st.maxima = heads
+	ub := 0.0
+	for _, x := range heads {
+		ub += x
+	}
+	return ub
+}
+
+// has reports whether bit i is set; coverBound uses it.
+func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
+
 // empty reports whether b has no set bit; refSearch.branch uses it.
 func (b bitset) empty() bool {
 	for _, w := range b {
@@ -322,8 +403,10 @@ type refResult struct {
 }
 
 // refSolve runs the id-space search over p under w with a finite budget,
-// tracking both certificates.
-func refSolve(p *Prepared, w []float64, budget int, sumByRank bool) refResult {
+// tracking both certificates. With current set it bounds as the rank-space
+// search does, the static bound summed in rank order and the cover past
+// coverAfter; without, it is the static-bound search as it was.
+func refSolve(p *Prepared, w []float64, budget int, current bool) refResult {
 	n, words := p.n, p.words
 	adj := make([]bitset, n)
 	for v := range adj {
@@ -331,7 +414,7 @@ func refSolve(p *Prepared, w []float64, budget int, sumByRank bool) refResult {
 	}
 	st := &refSearch{
 		n: n, adj: adj, w: w, clique: p.clique, ncliques: p.ncliques,
-		budget: budget, track: true, slack: math.Inf(1), sumByRank: sumByRank,
+		budget: budget, track: true, slack: math.Inf(1), sumByRank: current, cover: current,
 		cliqueMax: make([]float64, p.ncliques),
 		best:      newBitset(n),
 		depthBufs: make([][2]bitset, n+1),
@@ -366,8 +449,10 @@ func rankSolve(p *Prepared, w []float64, budget int, ws *Workspace) refResult {
 
 // zeroTolSolve reruns the search that ws.exact last set up on an instance
 // of 65–128 vertices, from its root, in the two-word body (pair) or in the
-// slice body, with tol zeroed. It returns the result, its set in rank
-// space, and the nodes that summed their heads exactly. At the real
+// slice body, with tol zeroed and its node count restarted, so that past
+// coverAfter nodes both build their covers (coverPair, coverSlice). It
+// returns the result, its set in rank space, and the nodes that summed
+// their heads exactly. At the real
 // tolerance an estimate that rounds another way decides no prune
 // differently, and changes an exact-sum count only where a margin lies
 // within rounding of tol, so two bodies that carried it in another order
@@ -385,7 +470,7 @@ func zeroTolSolve(ws *Workspace, budget int, pair bool) (refResult, int) {
 		}
 	}
 	clear(st.best)
-	st.bestW, st.budget, st.tol, st.sums, st.slack, st.u = 0, budget, 0, 0, math.Inf(1), 0
+	st.bestW, st.budget, st.nodes, st.tol, st.sums, st.slack, st.u = 0, budget, 0, 0, 0, math.Inf(1), 0
 	var exhausted bool
 	if pair {
 		exhausted = st.branchPair(full[0], full[1], heads[0], heads[1], 0, 0, 0, math.NaN(), 0)
@@ -404,11 +489,13 @@ func zeroTolSolve(ws *Workspace, budget int, pair bool) (refResult, int) {
 // checkPairRetracesSlice is the third oracle of
 // TestRankSearchMatchesReference, run after rankSolve: on 65–128 vertices,
 // zeroTolSolve in the two-word body and in the slice body must agree bit
-// for bit, exact sums included. It checks nothing at other sizes.
-func checkPairRetracesSlice(t *testing.T, desc string, ws *Workspace, budget int) {
+// for bit, exact sums included. It checks nothing at other sizes, and
+// reports whether the two ran past coverAfter nodes, so that their covers
+// were compared too.
+func checkPairRetracesSlice(t *testing.T, desc string, ws *Workspace, budget int) bool {
 	t.Helper()
 	if n := len(ws.st.w); n <= 64 || n > 128 {
-		return
+		return false
 	}
 	pair, pairSums := zeroTolSolve(ws, budget, true)
 	slice, sliceSums := zeroTolSolve(ws, budget, false)
@@ -416,6 +503,31 @@ func checkPairRetracesSlice(t *testing.T, desc string, ws *Workspace, budget int
 		t.Fatalf("%s: with tol zeroed, two-word body %+v after %d exact sums, slice body %+v after %d",
 			desc, pair, pairSums, slice, sliceSums)
 	}
+	return pair.nodes > coverAfter
+}
+
+// sameAnswerBudget is the node budget within which checkSameAnswer needs
+// the static-bound search to finish.
+const sameAnswerBudget = 50_000
+
+// checkSameAnswer is the oracle that answers do not depend on the bound:
+// wherever the static-bound id-space search finishes within
+// sameAnswerBudget nodes, the rank-space search must finish within as many
+// and return the same set. Both branch on the same pivots, and a prune
+// drops no set heavier than the incumbent, so each returns the first
+// maximum-weight set in include-first order. It reports whether the static
+// search finished.
+func checkSameAnswer(t testing.TB, desc string, p *Prepared, w []float64, ws *Workspace) bool {
+	t.Helper()
+	want := refSolve(p, w, sameAnswerBudget, false)
+	if !want.exhausted {
+		return false
+	}
+	set, exhausted := ws.exact(p, w, sameAnswerBudget, false)
+	if !exhausted || !equalIntSlices(set, want.set) {
+		t.Fatalf("%s: set %v exhausted %v, static-bound search %v after %d nodes", desc, set, exhausted, want.set, want.nodes)
+	}
+	return true
 }
 
 // referenceCliquePartition is the list-based greedy clique partition that
@@ -659,34 +771,49 @@ func referenceGraph(n int, density float64, src *rng.Source) *graph.Graph {
 // come trials in the two extreme regimes, 6 (subnormal) and 7
 // (overflowing, with +Inf), held to the first oracle alone: there the
 // carried bound's tolerance is its absolute floor, or infinite, so they
-// check that every node it cannot settle sums exactly. Three oracles:
+// check that every node it cannot settle sums exactly. Four oracles:
 //
-//   - The id-space search with its bound summed in rank order must agree bit
-//     for bit on every trial: set, exhaustion, node count, slack and gap.
-//     The two searches then differ in the bound's summation order and
-//     nothing else.
-//   - The id-space search as it was must return the identical set and
-//     exhaustion outcome on every trial but those in referenceDiverging,
-//     and match node count and slack up to rounding wherever its slack
-//     exceeds 1e-9: no comparison is then near enough to a tie for the
-//     summation order to flip it.
+//   - The id-space search bounding as the rank-space one does, its static
+//     bound summed in rank order and, past coverAfter, its cover built a
+//     vertex at a time (refSearch.coverBound), must agree bit for bit on
+//     every trial: set, exhaustion, node count, slack and gap. The two
+//     searches then differ in the static bound's summation order and in
+//     how the cover is built, and nothing else.
+//   - Wherever the search ends within coverAfter nodes, it never built a
+//     cover, and the static-bound id-space search as it was must return
+//     the identical set and exhaustion outcome on every trial but those in
+//     referenceDiverging, and match node count and slack up to rounding
+//     wherever its slack exceeds 1e-9: no comparison is then near enough
+//     to a tie for the summation order to flip it.
 //   - On 65–128 vertices, the two-word body and the slice body rerun with
 //     the tolerance zeroed (zeroTolSolve) must agree bit for bit, exact
 //     sums included: the two carry the same estimate by the same float
-//     operations in the same order.
+//     operations in the same order, and build the same covers.
+//   - Answers do not depend on the bound (checkSameAnswer): wherever the
+//     static-bound id-space search finishes within sameAnswerBudget nodes,
+//     whatever the trial's budget, the search returns its set.
 func TestRankSearchMatchesReference(t *testing.T) {
 	const trials = 1500
 	var ws Workspace
 	var p, q Prepared
 	subsets := rng.New(2014)
-	compared := 0
+	compared, covered, retraced, same := 0, 0, 0, 0
 	check := func(desc string, g *graph.Graph, w []float64, budget int, diverging bool) {
 		p.Prepare(g, &ws)
 		checkPreparation(t, desc, g, &p, &q, subsets, &ws)
 		got := rankSolve(&p, w, budget, &ws)
-		checkPairRetracesSlice(t, desc, &ws, budget)
+		if checkPairRetracesSlice(t, desc, &ws, budget) {
+			retraced++
+		}
 		if alt := refSolve(&p, w, budget, true); !reflect.DeepEqual(got, alt) {
 			t.Fatalf("%s: rank-space %+v, id-space with rank-order bound %+v", desc, got, alt)
+		}
+		if checkSameAnswer(t, desc, &p, w, &ws) {
+			same++
+		}
+		if got.nodes > coverAfter {
+			covered++
+			return
 		}
 		want := refSolve(&p, w, budget, false)
 		if diverging {
@@ -719,6 +846,11 @@ func TestRankSearchMatchesReference(t *testing.T) {
 	}
 	if compared < trials/10 {
 		t.Fatalf("only %d of %d trials had a reference slack above 1e-9", compared, trials)
+	}
+	t.Logf("%d of %d trials passed coverAfter nodes; %d retraced the slice body past it; %d compared answers with the static bound",
+		covered, trials, retraced, same)
+	if covered < trials/10 || retraced < trials/50 || same < trials/2 {
+		t.Fatalf("weak coverage: %d trials passed coverAfter, %d retraced past it, %d compared answers", covered, retraced, same)
 	}
 	src = rng.New(2012)
 	for _, n := range []int{63, 64, 65, 127, 128, 129} {

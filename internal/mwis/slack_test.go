@@ -29,17 +29,23 @@ func solvePreparedTracked(t *testing.T, h Hybrid, p *Prepared, w []float64, ws *
 // sparse ones of 65–100 vertices for the two-word body, and 20 of 129–160
 // vertices for the slice body. Those are dense (density 0.4–0.8): at that
 // size a sparse instance's clique bound is loose enough that its search
-// stops at the node budget, which certifies nothing.
+// stops at the node budget, which certifies nothing. The small trials run
+// the decider's Hybrid, whose searches mostly end within coverAfter nodes
+// and certify by their traversal slack. The larger ones mostly pass
+// coverAfter, which voids that slack, and their node bounds are far above
+// the default budget, so at it they would certify nothing either; they
+// run without a practical budget, where the uniqueness gap is granted, so
+// they check the gap over the cover's prunes.
 func TestSlackCertificateSoundness(t *testing.T) {
-	small := checkSlackSoundness(t, 120, rng.New(71), 2, 18, 0.1, 0.6)
+	small := checkSlackSoundness(t, Hybrid{}, 120, rng.New(71), 2, 18, 0.1, 0.6)
 	if small.certified < 40 || small.driftTrials < 200 {
 		t.Fatalf("weak coverage: %d certified solves, %d drift trials", small.certified, small.driftTrials)
 	}
-	wide := checkSlackSoundness(t, 40, rng.New(72), 65, 36, 0.02, 0.04)
+	wide := checkSlackSoundness(t, Hybrid{Budget: math.MaxInt}, 40, rng.New(72), 65, 36, 0.02, 0.04)
 	if wide.certified < 10 || wide.driftTrials < 100 {
 		t.Fatalf("weak coverage over 65–100 vertices: %d certified solves, %d drift trials", wide.certified, wide.driftTrials)
 	}
-	widest := checkSlackSoundness(t, 20, rng.New(73), 129, 32, 0.4, 0.4)
+	widest := checkSlackSoundness(t, Hybrid{Budget: math.MaxInt}, 20, rng.New(73), 129, 32, 0.4, 0.4)
 	if widest.certified < 10 || widest.driftTrials < 100 {
 		t.Fatalf("weak coverage over 129–160 vertices: %d certified solves, %d drift trials", widest.certified, widest.driftTrials)
 	}
@@ -51,9 +57,8 @@ type slackCoverage struct{ certified, driftTrials int }
 // checkSlackSoundness runs TestSlackCertificateSoundness's trials on
 // instances of minN to minN+spanN−1 vertices and edge density minP to
 // minP+spanP.
-func checkSlackSoundness(t *testing.T, trials int, src *rng.Source, minN, spanN int, minP, spanP float64) slackCoverage {
+func checkSlackSoundness(t *testing.T, h Hybrid, trials int, src *rng.Source, minN, spanN int, minP, spanP float64) slackCoverage {
 	t.Helper()
-	var h Hybrid
 	certified, driftTrials := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		n := minN + src.Intn(spanN)
@@ -235,4 +240,129 @@ func equalIntSlices(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// FuzzSlackCertificate fuzzes TestSlackCertificateSoundness's property:
+// whenever a weight vector lies at an L1 distance below the Slack that
+// Hybrid.SolvePrepared reported for the solved one, SolvePrepared on it
+// returns the identical set. The inputs choose the graph's seed, n in
+// 1–64, the edge density (densityRaw/255), a weight regime of
+// referenceWeights (regimeRaw % 8: continuous, all 2.0, unseen mixed with
+// learned, quarter steps, 1-ulp near-ties, zeros, subnormal, huge), a
+// drift shape and size (driftRaw, see slackDrift), and the budget: the
+// decider's default, or with deep set none to speak of, under which the
+// uniqueness gap is always granted. A search past coverAfter nodes that
+// built a cover keeps only the gap, so deep inputs are the ones that
+// check it over the cover's prunes; at 64 vertices the cover keeps their
+// searches short. Every input tries eight drifts from the seed's "drift"
+// split. The committed corpus under testdata/fuzz holds dense all-2.0
+// instances of 40–64 vertices whose searches pass coverAfter, at both
+// budgets, and entries in each named regime, most of them past coverAfter
+// with a nonzero slack.
+func FuzzSlackCertificate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, densityRaw, regimeRaw, driftRaw uint8, deep bool) {
+		n := 1 + int(nRaw)%64
+		src := rng.New(seed)
+		g := referenceGraph(n, float64(densityRaw)/255, src)
+		w := referenceWeights(int(regimeRaw)%8, n, src)
+		h := Hybrid{}
+		if deep {
+			h.Budget = math.MaxInt
+		}
+		var p Prepared
+		ws := Workspace{TrackSlack: true}
+		p.Prepare(g, &ws)
+		base, err := h.SolvePrepared(&p, w, &ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base = append([]int(nil), base...)
+		slack := ws.Slack
+		if !(slack > 0) {
+			return
+		}
+		drift := rng.New(seed).Split("drift")
+		var ws2 Workspace
+		for k := 0; k < 8; k++ {
+			w2, d1 := slackDrift(w, base, slack, driftRaw, drift)
+			if !(d1 < slack) {
+				continue
+			}
+			got, err := h.SolvePrepared(&p, w2, &ws2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalIntSlices(got, base) {
+				t.Fatalf("n=%d: drift %v below slack %v changed the set %v to %v\n w  %v\n w' %v", n, d1, slack, base, got, w, w2)
+			}
+		}
+	})
+}
+
+// slackDrift draws a weight vector near w whose L1 distance to it, the
+// second result, is meant to fall below slack (an infinite slack drifts by
+// up to 1). Bits 0–1 of shape pick how the drift spreads: all on one
+// vertex; over random vertices with random signs; toward the rival sets,
+// every vertex outside base up and every one in it down; or into exact
+// ties, setting vertices to the weight of others within reach. Bits 2–3
+// pick its size as a fraction of slack: a half, 1−2⁻¹⁰, 1−2⁻⁴⁰ (at the
+// certificate's edge) or 2⁻⁴⁰. No weight goes negative.
+func slackDrift(w []float64, base []int, slack float64, shape uint8, src *rng.Source) ([]float64, float64) {
+	n := len(w)
+	total := slack * []float64{0.5, 1 - 0x1p-10, 1 - 0x1p-40, 0x1p-40}[shape>>2%4]
+	if math.IsInf(total, 1) {
+		total = 1
+	}
+	w2 := append([]float64(nil), w...)
+	move := func(v int, step float64) {
+		if step < 0 && w2[v] < -step {
+			step = -step
+		}
+		w2[v] += step
+	}
+	switch shape % 4 {
+	case 0:
+		v := src.Intn(n)
+		if src.Intn(2) == 0 {
+			move(v, -total)
+		} else {
+			move(v, total)
+		}
+	case 1:
+		k := 1 + src.Intn(n)
+		for j := 0; j < k; j++ {
+			step := total / float64(k) * src.Float64()
+			if src.Intn(2) == 0 {
+				step = -step
+			}
+			move(src.Intn(n), step)
+		}
+	case 2:
+		step := total / float64(n)
+		in := make([]bool, n)
+		for _, v := range base {
+			in[v] = true
+		}
+		for v := range w2 {
+			if in[v] {
+				move(v, -step)
+			} else {
+				move(v, step)
+			}
+		}
+	case 3:
+		left := total
+		for j := 0; j < n; j++ {
+			u, v := src.Intn(n), src.Intn(n)
+			if d := math.Abs(w2[u] - w2[v]); d > 0 && d < left {
+				left -= d
+				w2[v] = w2[u]
+			}
+		}
+	}
+	d1 := 0.0
+	for i := range w2 {
+		d1 += math.Abs(w2[i] - w[i])
+	}
+	return w2, d1
 }

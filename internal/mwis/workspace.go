@@ -33,7 +33,10 @@ type Workspace struct {
 	//     (incumbent updates, clique-bound prunes at half weight, pivot
 	//     choices). Drift below it flips none of them, so the search on w'
 	//     runs the identical traversal — same incumbents, same prunes,
-	//     same budget consumption — and returns the identical set.
+	//     same budget consumption — and returns the identical set. A search
+	//     that built a clique cover past its first 1,024 nodes has none:
+	//     the cover follows the whole weight order, which no recorded
+	//     margin covers (see coverAfter).
 	//
 	//   - Uniqueness gap: the distance from the optimum to the
 	//     second-best independent set, available only when the prepared
