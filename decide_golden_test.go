@@ -70,7 +70,7 @@ var decideWorkGolden = []struct {
 	// every arm is unseen, all indices tie at the unseen-arm index, and
 	// the local searches are at their hardest. Three of them stopped at
 	// the node budget until the search bounded by a clique cover of each
-	// node's remaining set past its first 1,024 nodes; the winners are
+	// node's remaining set past its first 8,192 nodes; the winners are
 	// the same.
 	{"paper-scale-cold", spec.ScenarioSpec{
 		Seed: 23, NoiseSeed: 24,

@@ -27,10 +27,10 @@ const goldenWideBalls = 160
 // unseen 8,000,313 nodes and 87 stops; wide 6,083,567 nodes and 91 stops;
 // widest 500,000 nodes and 10 stops.
 var solveWorkGolden = map[string]solveWork{
-	"uniform": {nodes: 256408, stops: 0, sums: 4578, digest: 0x244f5609f6b49eb2},
-	"unseen":  {nodes: 820694, stops: 0, sums: 227242, digest: 0x333b0b555b6fe973},
-	"wide":    {nodes: 521389, stops: 1, sums: 1377, digest: 0x77309c7f09c98cc6},
-	"widest":  {nodes: 379912, stops: 6, sums: 107, digest: 0x6d1abac18597a67f},
+	"uniform": {nodes: 439974, stops: 0, sums: 4927, digest: 0xdb59adde1aadf280},
+	"unseen":  {nodes: 2513040, stops: 0, sums: 904490, digest: 0x333b0b555b6fe973},
+	"wide":    {nodes: 1581260, stops: 2, sums: 2110, digest: 0x9c2188e9b05e78bb},
+	"widest":  {nodes: 408248, stops: 6, sums: 172, digest: 0x6d1abac18597a67f},
 }
 
 // TestSolvePreparedWorkGolden pins the local search's work on

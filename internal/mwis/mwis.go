@@ -479,7 +479,7 @@ func (st *search) prune(curW, ub float64) bool {
 // untouched and a prune never drops a set heavier than the incumbent, so
 // whatever bound prunes it, a search that finishes returns the first
 // maximum-weight set in include-first order.
-const coverAfter = 1024
+const coverAfter = 8192
 
 // open reports whether a node of weight curW whose cover heads sum to at
 // least sum so far stays open. Every head is non-negative and adding one

@@ -255,10 +255,12 @@ func equalIntSlices(a, b []int) bool {
 // built a cover keeps only the gap, so deep inputs are the ones that
 // check it over the cover's prunes; at 64 vertices the cover keeps their
 // searches short. Every input tries eight drifts from the seed's "drift"
-// split. The committed corpus under testdata/fuzz holds dense all-2.0
-// instances of 40–64 vertices whose searches pass coverAfter, at both
-// budgets, and entries in each named regime, most of them past coverAfter
-// with a nonzero slack.
+// split. The committed corpus under testdata/fuzz holds all-2.0 instances
+// of 63 and 64 vertices at density 0.42–0.45, the densest found whose
+// searches pass coverAfter nodes, at both budgets; deep entries past
+// coverAfter with a nonzero slack in the continuous, unseen-mixed,
+// quarter-step and near-tie regimes; and small entries that certify by
+// their traversal slack, one per regime with the subnormal and huge ones.
 func FuzzSlackCertificate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, densityRaw, regimeRaw, driftRaw uint8, deep bool) {
 		n := 1 + int(nRaw)%64

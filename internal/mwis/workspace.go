@@ -34,7 +34,7 @@ type Workspace struct {
 	//     choices). Drift below it flips none of them, so the search on w'
 	//     runs the identical traversal — same incumbents, same prunes,
 	//     same budget consumption — and returns the identical set. A search
-	//     that built a clique cover past its first 1,024 nodes has none:
+	//     that built a clique cover past its first 8,192 nodes has none:
 	//     the cover follows the whole weight order, which no recorded
 	//     margin covers (see coverAfter).
 	//

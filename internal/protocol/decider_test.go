@@ -515,7 +515,7 @@ func (s *budgetStopSolver) Name() string { return s.solver.Name() }
 // each decide's count must equal the oracle's, which runs referenceDecide
 // through budgetStopSolver, and the decide itself must equal the oracle's.
 // At the default budget the all-2.0 searches now finish: past its first
-// 1,024 nodes the local search bounds by a clique cover of each node's
+// 8,192 nodes the local search bounds by a clique cover of each node's
 // remaining set, and before it did, 2 of the 15 leaders' stopped. At
 // 1,000 nodes, below that switch, the all-2.0 counts must be nonzero.
 func TestDeciderCountsBudgetStops(t *testing.T) {
