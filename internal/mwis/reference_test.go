@@ -452,13 +452,12 @@ func rankSolve(p *Prepared, w []float64, budget int, ws *Workspace) refResult {
 // slice body, with tol zeroed and its node count restarted, so that past
 // coverAfter nodes both build their covers (coverPair, coverSlice). It
 // returns the result, its set in rank space, and the nodes that summed
-// their heads exactly. At the real
-// tolerance an estimate that rounds another way decides no prune
-// differently, and changes an exact-sum count only where a margin lies
-// within rounding of tol, so two bodies that carried it in another order
-// would still agree; with none, the estimate decides every prune it can
-// on its own, and they part ways at a near-tie where their estimates
-// round apart.
+// their heads exactly. At the real tolerance an estimate that rounds
+// another way decides no prune differently, and changes an exact-sum count
+// only where a margin lies within rounding of tol, so two bodies that
+// carried it in another order would still agree; with none, the estimate
+// decides every prune it can on its own, and they part ways at a near-tie
+// where their estimates round apart.
 func zeroTolSolve(ws *Workspace, budget int, pair bool) (refResult, int) {
 	st := &ws.st
 	n, words := len(st.w), st.words
