@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -97,10 +98,45 @@ func TestSolveCasesSameAnswer(t *testing.T) {
 		}
 		checked := 0
 		for k := range c.balls {
-			if checkSameAnswer(t, fmt.Sprintf("%s ball %d", c.name, k), &c.balls[k], c.weights[k], &ws) {
+			if checkSameAnswer(t, fmt.Sprintf("%s ball %d", c.name, k), &c.balls[k], c.weights[k], sameAnswerBudget, &ws) {
 				checked++
 			}
 		}
 		t.Logf("%s: %d of %d balls", c.name, checked, len(c.balls))
+	}
+}
+
+// coverChanged lists the solveCases balls whose answers the cover bound
+// changed: on each, the static-bound search stops at the decider's budget
+// with a set lighter than the ball's optimum, and the search with the
+// cover finishes within it. They are every such ball of unseen and wide on
+// which the static search finishes within 300,000 nodes, and one of
+// unseen's (ball 190) on which it takes about 610,000.
+var coverChanged = []struct {
+	name string
+	ball int
+}{{"unseen", 190}, {"wide", 104}, {"wide", 125}, {"wide", 428}, {"wide", 445}, {"wide", 451}, {"wide", 524}}
+
+// TestCoverChangedAnswers runs checkSameAnswer at staticBudget, 5M nodes,
+// on the coverChanged balls, which it cannot compare at sameAnswerBudget:
+// the static-bound search, run until it finishes, must return the set
+// that the search returns within the decider's budget. It first checks
+// that each ball is one whose answer the cover changed.
+func TestCoverChangedAnswers(t *testing.T) {
+	cases := solveCases(t)
+	var ws Workspace
+	for _, b := range coverChanged {
+		c := cases[slices.IndexFunc(cases, func(c solveCase) bool { return c.name == b.name })]
+		p, w := &c.balls[b.ball], c.weights[b.ball]
+		desc := fmt.Sprintf("%s ball %d", b.name, b.ball)
+		stopped := refSolve(p, w, solveBudget, false)
+		set, exhausted := ws.exact(p, w, solveBudget, false)
+		if in := (Instance{W: w}); stopped.exhausted || !exhausted || !(in.Weight(stopped.set) < in.Weight(set)) {
+			t.Fatalf("%s: static-bound search exhausted %v with %v, search exhausted %v with %v; want a stop, a finish and a heavier set",
+				desc, stopped.exhausted, stopped.set, exhausted, set)
+		}
+		if !checkSameAnswer(t, desc, p, w, staticBudget, &ws) {
+			t.Fatalf("%s: static-bound search did not finish within %d nodes", desc, staticBudget)
+		}
 	}
 }
