@@ -21,7 +21,7 @@ import (
 	"multihopbandit/internal/cds"
 	"multihopbandit/internal/channel"
 	"multihopbandit/internal/core"
-	"multihopbandit/internal/dist"
+	"multihopbandit/internal/distnet"
 	"multihopbandit/internal/engine"
 	"multihopbandit/internal/extgraph"
 	"multihopbandit/internal/mwis"
@@ -425,9 +425,9 @@ func BenchmarkAblationPolicy(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Extension subsystems
 
-// BenchmarkMessageGranularDecision measures one decision of the
-// agent-per-vertex runtime (internal/dist) on a mid-size network and reports
-// the control-frame volume.
+// BenchmarkMessageGranularDecision measures one decision of the concurrent
+// agent-per-vertex runtime (internal/distnet) on a mid-size network and
+// reports the control-frame volume.
 func BenchmarkMessageGranularDecision(b *testing.B) {
 	nw, err := topology.Random(topology.RandomConfig{N: 40}, rng.New(15))
 	if err != nil {
@@ -437,10 +437,11 @@ func BenchmarkMessageGranularDecision(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rt, err := dist.New(dist.Config{Ext: ext, R: 2, D: 4})
+	rt, err := distnet.New(distnet.Config{Ext: ext, R: 2, D: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer rt.Close()
 	src := rng.New(16)
 	w := make([]float64, ext.K())
 	for i := range w {
@@ -472,10 +473,14 @@ func BenchmarkLossSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rt, err := dist.New(dist.Config{Ext: ext, R: 2, D: 6, DropProb: drop, LossSeed: 1})
+			rt, err := distnet.New(distnet.Config{
+				Ext: ext, R: 2, D: 6,
+				Transport: distnet.NewFaultTransport(distnet.NewChanTransport(), distnet.Faults{Seed: 1, Loss: drop}, nil),
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer rt.Close()
 			src := rng.New(18)
 			w := make([]float64, ext.K())
 			for i := range w {

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"multihopbandit/internal/benchmeta"
-	"multihopbandit/internal/dist"
 	"multihopbandit/internal/distnet"
 	"multihopbandit/internal/extgraph"
 	"multihopbandit/internal/protocol"
@@ -226,7 +225,7 @@ func measure(ext *extgraph.Extended, nodes, m, r, d, decisions int, loss float64
 	for i := range w {
 		w[i] = src.Float64()
 	}
-	var frames dist.FrameStats
+	var frames distnet.FrameStats
 	var rounds, failures, nonIndep, undet int
 	start := time.Now()
 	for step := 0; step < decisions; step++ {

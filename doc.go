@@ -148,36 +148,35 @@
 // # Distributed execution
 //
 // The protocol Decider executes Algorithm 3 lock-step under an omniscient
-// simulator; two companion packages progressively drop that abstraction.
-// internal/dist replays the same decision at message granularity — every
-// vertex of the extended conflict graph is an agent acting only on control
-// frames it actually received, with per-copy loss — and attributes the
-// control-frame volume per flood kind (WB weight broadcasts, LS leader
-// declarations, LB determination broadcasts, originations vs relays).
-// internal/distnet then runs those same agent rules (shared, not
-// duplicated: they live in internal/dist's rules layer) as genuinely
-// concurrent goroutines, one per vertex, exchanging frames over a
-// pluggable Transport — an in-process channel mesh or real loopback TCP
-// sockets reusing internal/wire's framing discipline — behind a
-// composable fault layer: independent loss, bursty (Gilbert-chain) loss,
-// latency/jitter, reordering, named link partitions with heal, and agent
-// crash/restart. All faults are identity-keyed draws, so a decision is a
-// deterministic function of (spec, fault seed) no matter how the
-// scheduler interleaves the goroutines.
+// simulator. internal/distnet drops that abstraction: every vertex of the
+// extended conflict graph is a concurrent goroutine agent that acts only
+// on the control frames it actually received, exchanged over a pluggable
+// Transport — an in-process channel mesh or real loopback TCP sockets
+// reusing internal/wire's framing discipline — behind a composable fault
+// layer: independent loss, bursty (Gilbert-chain) loss, latency/jitter,
+// reordering, named link partitions with heal, and agent crash/restart.
+// It attributes the control-frame volume per flood kind (WB weight
+// broadcasts, LS leader declarations, LB determination broadcasts,
+// originations vs relays). All faults are identity-keyed draws, so a
+// decision is a deterministic function of (spec, fault seed) no matter how
+// the scheduler interleaves the goroutines. Each leader solves its local
+// MWIS over its prepared candidate ball, through the same mwis.SolveOn
+// entry as the protocol Decider.
 //
-// Three invariants hold the three executions together. Fault-free,
-// distnet's winner sets are bit-identical to the protocol Decider across
-// topologies, solvers and transports (the golden suite in
-// internal/distnet). Under loss, dist and distnet agree frame-for-frame —
+// Three invariants are tested. Fault-free, distnet's winner sets are
+// bit-identical to the protocol Decider across topologies, solvers and
+// transports (the golden suite in internal/distnet). Under loss, distnet
+// agrees frame-for-frame with a sequential oracle kept in its tests —
 // identical winners, mini-round counts and per-kind frame counts under
-// identical loss seeds. And under arbitrary fault churn every decision
-// still terminates with zero protocol violations (the 512-agent soak and
-// the CI dist-smoke job). Scenario specs select the execution with
-// decision.execution ("decider" or "distnet"), transport and a faults
-// block — operational fields excluded from the artifact key — and
-// `make bench-dist` sweeps agent count × loss × latency into
-// BENCH_dist.json, including the determination-failure-rate figure
-// quantifying what the paper's reliable-control-channel assumption buys.
+// identical loss seeds, for several solvers. And under arbitrary fault
+// churn every decision still terminates with zero protocol violations
+// (the 512-agent soak and the CI dist-smoke job). Scenario specs select
+// the execution with decision.execution ("decider" or "distnet"),
+// transport and a faults block — operational fields excluded from the
+// artifact key — and `make bench-dist` sweeps agent count × loss ×
+// latency into BENCH_dist.json, including the determination-failure-rate
+// figure quantifying what the paper's reliable-control-channel assumption
+// buys.
 //
 // # The decision-serving runtime
 //

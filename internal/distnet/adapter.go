@@ -77,6 +77,10 @@ func (ld *LoopDecider) DecideEpoch(weights []float64, prevPlayed []int, _ bool, 
 		},
 	}
 	ld.stats.FullDecides++
+	// Every elected leader prepares its ball anew and solves it, so each
+	// election is a memo miss in protocol.Decider's terms.
+	ld.stats.MemoMisses += int64(res.Leaders)
+	ld.stats.BudgetStops += int64(res.BudgetStops)
 	ld.stats.MiniRounds += int64(res.MiniRounds)
 	ld.stats.WeightBroadcasts += int64(res.Frames.WB.Originations)
 	ld.stats.LeaderDeclarations += int64(res.Frames.LS.Originations)

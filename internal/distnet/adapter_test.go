@@ -2,10 +2,9 @@ package distnet
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
-	"multihopbandit/internal/obs"
+	"multihopbandit/internal/mwis"
 	"multihopbandit/internal/protocol"
 )
 
@@ -111,41 +110,46 @@ func TestLoopDeciderTracer(t *testing.T) {
 	}
 }
 
-// TestMetricsRegister: the counters publish through an obs.Registry in
-// Prometheus exposition format with the expected family names and labels.
-func TestMetricsRegister(t *testing.T) {
-	ext := testExt(t, 15, 2, 57, "random")
-	var m Metrics
-	rt, err := New(Config{
-		Ext: ext, R: 1, D: 4, Metrics: &m,
-		Transport: NewFaultTransport(NewChanTransport(), Faults{Seed: 2, Loss: 0.3}, &m),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	if _, err := rt.Decide(testWeights(ext, 58)); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := obs.NewRegistry()
-	m.Register(reg)
-	var b strings.Builder
-	reg.WritePrometheus(&b)
-	text := b.String()
-	for _, want := range []string{
-		`distnet_frames_total{kind="wb"}`,
-		`distnet_copies_total{kind="wb",outcome="dropped"}`,
-		`distnet_decisions_total{outcome="converged"}`,
-		"distnet_mini_rounds_total",
-		"distnet_protocol_violations_total",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("scrape missing %q:\n%s", want, text)
+// TestLoopDeciderCountsSolvesAsDecider: a distnet decision solves every
+// leader's ball anew, as a fresh protocol.Decider does, so both planes
+// report the same memo misses and budget stops (and the same winners),
+// also for budgets at which the searches stop.
+func TestLoopDeciderCountsSolvesAsDecider(t *testing.T) {
+	ext := testExt(t, 30, 3, 7, "random")
+	w := testWeights(ext, 8)
+	for _, solver := range []mwis.Solver{mwis.Hybrid{}, mwis.Exact{Budget: 2}, mwis.Exact{Budget: 4}, mwis.Exact{Budget: 16}} {
+		ref, err := protocol.New(protocol.Config{Ext: ext, R: 2, D: 6, Solver: solver})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if m.Snapshot().FramesSent["wb"] < int64(ext.K()) {
-		t.Fatalf("WB frames = %d, want at least one origination per vertex (%d)",
-			m.Snapshot().FramesSent["wb"], ext.K())
+		dec := ref.NewDecider()
+		want, err := dec.DecideEpoch(w, nil, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := New(Config{Ext: ext, R: 2, D: 6, Solver: solver})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ld := NewLoopDecider(rt, true)
+		got, err := ld.DecideEpoch(w, nil, false, nil)
+		rt.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Winners, want.Winners) {
+			t.Fatalf("%+v: winners diverge:\n distnet: %v\n decider: %v", solver, got.Winners, want.Winners)
+		}
+		gs, ws := ld.Stats(), dec.Stats()
+		if gs.MemoMisses != ws.MemoMisses || gs.BudgetStops != ws.BudgetStops {
+			t.Fatalf("%+v: distnet misses/stops %d/%d, decider %d/%d",
+				solver, gs.MemoMisses, gs.BudgetStops, ws.MemoMisses, ws.BudgetStops)
+		}
+		if _, exact := solver.(mwis.Exact); exact && gs.BudgetStops == 0 {
+			t.Fatalf("%+v: no search stopped at the budget", solver)
+		}
+		if gs.LeaderResolves() < gs.BudgetStops {
+			t.Fatalf("%+v: %d budget stops over %d resolves", solver, gs.BudgetStops, gs.LeaderResolves())
+		}
 	}
 }

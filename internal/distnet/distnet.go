@@ -6,15 +6,18 @@
 // (loss, bursts, latency, jitter, reordering, named partitions, and
 // crash/restart blackouts).
 //
-// The agent rules are shared with internal/dist (see dist/rules.go); what
-// this package adds is real execution: scheduling is up to the Go runtime
-// and the transport, yet outcomes are deterministic because every rule is
+// The agent rules live in rules.go. Scheduling is up to the Go runtime and
+// the transport, yet outcomes are deterministic because every rule is
 // order-independent — relays are distance-gated (a pure membership test),
 // loss is keyed by frame-copy identity, and conflicting determinations
-// resolve by leader priority. The fault-free execution is bit-identical to
-// protocol.Decider's winner sets: concurrency changes the execution, never
-// the answer. That identity, and frame-for-frame agreement with
-// internal/dist under equal loss seeds, are both golden-tested.
+// resolve by leader priority. Each leader solves its local MWIS as
+// protocol.Decider does, over its candidate ball prepared from H's
+// adjacency rows (mwis.Prepared.PrepareInduced, then mwis.SolveOn). The
+// fault-free execution is bit-identical to protocol.Decider's winner sets:
+// concurrency changes the execution, never the answer. That identity is
+// golden-tested, and so is frame-for-frame agreement under equal loss
+// seeds with a sequential oracle in the tests, which floods by
+// breadth-first search and solves each leader's ball as a list graph.
 //
 // A decision advances through the paper's synchronized phases (weight
 // broadcast, then per mini-round: election, leader declaration, local
@@ -33,7 +36,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"multihopbandit/internal/dist"
 	"multihopbandit/internal/extgraph"
 	"multihopbandit/internal/graph"
 	"multihopbandit/internal/mwis"
@@ -71,7 +73,7 @@ type Result struct {
 	Strategy extgraph.Strategy
 	// Frames attributes the decision's control-frame volume to the WB, LS
 	// and LB floods, split into originations and relays.
-	Frames dist.FrameStats
+	Frames FrameStats
 	// MiniRounds is the number of mini-rounds executed.
 	MiniRounds int
 	// Undetermined counts the agents still undecided when the decision
@@ -80,6 +82,10 @@ type Result struct {
 	Undetermined int
 	// Leaders is the total number of LocalLeader elections across rounds.
 	Leaders int
+	// BudgetStops counts the leaders whose local MWIS search stopped at
+	// the solver's node budget (mwis.Workspace.BudgetStop), so that they
+	// flooded an incumbent or greedy set rather than a proven optimum.
+	BudgetStops int
 	// Converged reports whether every live agent decided before the cap.
 	Converged bool
 	// Independent reports whether Winners is an independent set of H.
@@ -91,14 +97,22 @@ type Result struct {
 type Runtime struct {
 	ext    *extgraph.Extended
 	h      *graph.Graph
-	r, d   int
+	r      int
 	solver mwis.Solver
 	tr     Transport
 	m      *Metrics
 
-	balls     *dist.BallSets
+	balls     *ballSets
 	agents    []*agent
 	maxRounds int
+
+	// rows are H's adjacency rows (bit u of rows[v] set iff u and v are
+	// adjacent), which every leader's ball is prepared from. splits lends
+	// a leader one *splitScratch for the duration of one split: leaders
+	// split concurrently, and a scratch per agent would keep a
+	// parent-sized renumbering index (in its mwis.Workspace) per agent.
+	rows   [][]uint64
+	splits sync.Pool
 
 	credits atomic.Int64
 	zeroCh  chan struct{}
@@ -145,14 +159,23 @@ func New(cfg Config) (*Runtime, error) {
 		ext:       cfg.Ext,
 		h:         h,
 		r:         r,
-		d:         cfg.D,
 		solver:    solver,
 		tr:        tr,
 		m:         cfg.Metrics,
-		balls:     dist.NewBallSets(h, r),
+		balls:     newBallSets(h, r),
 		agents:    make([]*agent, n),
 		maxRounds: maxRounds,
+		rows:      make([][]uint64, n),
 		zeroCh:    make(chan struct{}, 1),
+	}
+	rt.splits.New = func() any { return new(splitScratch) }
+	words := (n + 63) / 64
+	arena := make([]uint64, n*words)
+	for v := range rt.rows {
+		rt.rows[v] = arena[v*words : (v+1)*words : (v+1)*words]
+		for _, u := range h.Neighbors(v) {
+			rt.rows[v][u/64] |= 1 << (uint(u) % 64)
+		}
 	}
 	if err := tr.Start(n, sink{rt}); err != nil {
 		return nil, fmt.Errorf("distnet: transport start: %w", err)
@@ -161,7 +184,7 @@ func New(cfg Config) (*Runtime, error) {
 		a := &agent{
 			id:     v,
 			rt:     rt,
-			view:   dist.NewView(v, rt.balls.Ball2R1[v]),
+			view:   newView(v, rt.balls.Ball2R1[v]),
 			seenWB: make([]int64, len(rt.balls.Ball2R1[v])),
 			seenLS: make([]int64, len(rt.balls.Ball2R1[v])),
 			seenLB: make([]int64, len(rt.balls.Ball3R2[v])),
@@ -175,9 +198,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	return rt, nil
 }
-
-// Balls exposes the precomputed hop-neighborhood tables (shared, read-only).
-func (rt *Runtime) Balls() *dist.BallSets { return rt.balls }
 
 // Crash blacks out agent v: it discards every frame processed while down
 // and originates nothing, but keeps its state — only traffic during the
@@ -226,12 +246,12 @@ type sink struct{ rt *Runtime }
 
 // Deliver enqueues the copy; its credit resolves after the agent processes
 // it.
-func (s sink) Deliver(to int, f dist.Frame) {
+func (s sink) Deliver(to int, f Frame) {
 	s.rt.agents[to].mb.put(message{frame: f})
 }
 
 // Dropped resolves the copy's credit immediately.
-func (s sink) Dropped(int, dist.Frame, string) { s.rt.done() }
+func (s sink) Dropped(int, Frame, string) { s.rt.done() }
 
 // Decide runs one concurrent strategy decision from per-vertex index
 // weights. It must not be called concurrently with itself.
@@ -301,7 +321,7 @@ func (rt *Runtime) Decide(weights []float64) (*Result, error) {
 		res.MiniRounds++
 		undecided := 0
 		for _, a := range rt.agents {
-			if a.view.Self == dist.Candidate {
+			if a.view.Self == candidate {
 				undecided++
 			}
 		}
@@ -316,10 +336,11 @@ func (rt *Runtime) Decide(weights []float64) (*Result, error) {
 	}
 
 	for _, a := range rt.agents {
-		if a.view.Self == dist.Winner {
+		if a.view.Self == winner {
 			res.Winners = append(res.Winners, a.id)
 		}
 		res.Frames.Add(a.frames)
+		res.BudgetStops += a.budgetStops
 	}
 	res.Independent = rt.h.IsIndependent(res.Winners)
 	res.Played = rt.resolvePlayed(res.Winners, res.Independent)
@@ -427,7 +448,7 @@ type message struct {
 	round    int
 	decision int
 	weight   float64
-	frame    dist.Frame
+	frame    Frame
 }
 
 // mailbox is an unbounded FIFO queue. Unboundedness matters: flood relays
@@ -481,12 +502,15 @@ type agent struct {
 
 	decision int
 	weight   float64
-	view     *dist.View
+	view     *view
 	leader   bool
 	winners  []int
 	losers   []int
-	frames   dist.FrameStats
+	frames   FrameStats
 	arBuf    []int
+	// budgetStops counts this decision's local solves that stopped at the
+	// solver's node budget.
+	budgetStops int
 
 	// Flood dedup stamps, ball-indexed; a stamp encodes (decision, round)
 	// so stale entries never need clearing and early-arriving frames of
@@ -512,14 +536,6 @@ func (a *agent) stamp(round int) int64 {
 	return int64(a.decision)*int64(a.rt.maxRounds+1) + int64(round) + 1
 }
 
-func indexOf(sorted []int, x int) int {
-	i := sort.SearchInts(sorted, x)
-	if i < len(sorted) && sorted[i] == x {
-		return i
-	}
-	return -1
-}
-
 func (a *agent) handle(m message) {
 	switch m.ctrl {
 	case ctrlReset:
@@ -528,7 +544,8 @@ func (a *agent) handle(m message) {
 		a.view.Reset(m.weight)
 		a.leader = false
 		a.winners, a.losers = nil, nil
-		a.frames = dist.FrameStats{}
+		a.frames = FrameStats{}
+		a.budgetStops = 0
 
 	case ctrlWB:
 		if a.down.Load() {
@@ -537,8 +554,8 @@ func (a *agent) handle(m message) {
 		if i := indexOf(a.rt.balls.Ball2R1[a.id], a.id); i >= 0 {
 			a.seenWB[i] = a.stamp(0)
 		}
-		a.broadcast(dist.Frame{
-			Decision: a.decision, Kind: dist.FrameWB, Origin: a.id, Weight: a.weight,
+		a.broadcast(Frame{
+			Decision: a.decision, Kind: FrameWB, Origin: a.id, Weight: a.weight,
 		}, true)
 
 	case ctrlElect:
@@ -546,13 +563,13 @@ func (a *agent) handle(m message) {
 		if a.down.Load() {
 			return
 		}
-		if a.view.Self == dist.Candidate && a.view.SelfElect() {
+		if a.view.Self == candidate && a.view.SelfElect() {
 			a.leader = true
 			if i := indexOf(a.rt.balls.Ball2R1[a.id], a.id); i >= 0 {
 				a.seenLS[i] = a.stamp(m.round)
 			}
-			a.broadcast(dist.Frame{
-				Decision: a.decision, Kind: dist.FrameLS, Origin: a.id, Round: m.round,
+			a.broadcast(Frame{
+				Decision: a.decision, Kind: FrameLS, Origin: a.id, Round: m.round,
 			}, true)
 		}
 
@@ -561,12 +578,15 @@ func (a *agent) handle(m message) {
 			return
 		}
 		a.arBuf = a.view.Candidates(a.rt.balls.BallR[a.id], a.arBuf)
-		winners, losers, err := dist.LocalSplit(a.rt.h, a.rt.solver, a.arBuf, a.view.KnownWeight)
+		winners, losers, stopped, err := a.rt.split(a.arBuf, a.view.KnownWeight)
 		if err != nil {
 			a.rt.fail(fmt.Errorf("distnet: leader %d: %w", a.id, err))
 			return
 		}
 		a.winners, a.losers = winners, losers
+		if stopped {
+			a.budgetStops++
+		}
 
 	case ctrlLB:
 		if !a.leader || a.down.Load() {
@@ -576,10 +596,10 @@ func (a *agent) handle(m message) {
 			a.seenLB[i] = a.stamp(m.round)
 		}
 		// The origin "receives" its own flood: apply the determination
-		// locally, exactly as the loop-granular simulation does.
+		// locally, exactly as the sequential oracle in the tests does.
 		a.view.Apply(a.rt.h, m.round, a.id, a.winners, a.losers)
-		a.broadcast(dist.Frame{
-			Decision: a.decision, Kind: dist.FrameLB, Origin: a.id, Round: m.round,
+		a.broadcast(Frame{
+			Decision: a.decision, Kind: FrameLB, Origin: a.id, Round: m.round,
 			Winners: a.winners, Losers: a.losers,
 		}, true)
 
@@ -588,8 +608,52 @@ func (a *agent) handle(m message) {
 	}
 }
 
+// splitScratch is one local solve's preparation, workspace and buffers.
+type splitScratch struct {
+	pre  mwis.Prepared
+	ws   mwis.Workspace
+	w    []float64
+	inIS []bool
+}
+
+// split computes one leader's determination: the MWIS of the subgraph its
+// candidate set ar (ascending, leader included) induces in H, splitting ar
+// into winners and losers. w maps a candidate to the weight the leader
+// knows for it. A search that stops at the solver's budget reports stopped
+// and plays its best-effort set, as protocol.Decider does. The returned
+// slices are fresh: LB frames forward them without copying.
+func (rt *Runtime) split(ar []int, w func(int) float64) (winners, losers []int, stopped bool, err error) {
+	sc := rt.splits.Get().(*splitScratch)
+	defer rt.splits.Put(sc)
+	sc.w = sc.w[:0]
+	for _, u := range ar {
+		sc.w = append(sc.w, w(u))
+	}
+	sc.pre.PrepareInduced(rt.rows, ar, &sc.ws)
+	localIS, err := mwis.SolveOn(rt.solver, &sc.pre, sc.w, &sc.ws)
+	if err != nil {
+		return nil, nil, false, fmt.Errorf("local MWIS: %w", err)
+	}
+	if cap(sc.inIS) < len(ar) {
+		sc.inIS = make([]bool, len(ar))
+	}
+	inIS := sc.inIS[:len(ar)]
+	for _, li := range localIS {
+		inIS[li] = true
+	}
+	for i, u := range ar {
+		if inIS[i] {
+			winners = append(winners, u)
+		} else {
+			losers = append(losers, u)
+		}
+		inIS[i] = false
+	}
+	return winners, losers, sc.ws.BudgetStop, nil
+}
+
 // onFrame applies the shared receive-and-relay rules to one frame copy.
-func (a *agent) onFrame(f dist.Frame) {
+func (a *agent) onFrame(f Frame) {
 	rt := a.rt
 	if a.down.Load() {
 		rt.m.crashDiscard()
@@ -600,7 +664,7 @@ func (a *agent) onFrame(f dist.Frame) {
 		return
 	}
 	switch f.Kind {
-	case dist.FrameWB:
+	case FrameWB:
 		i := indexOf(rt.balls.Ball2R1[a.id], f.Origin)
 		if i < 0 {
 			rt.m.violation()
@@ -612,11 +676,11 @@ func (a *agent) onFrame(f dist.Frame) {
 		}
 		a.seenWB[i] = st
 		a.view.LearnWeight(f.Origin, f.Weight)
-		if dist.Contains(rt.balls.Ball2R[a.id], f.Origin) {
+		if indexOf(rt.balls.Ball2R[a.id], f.Origin) >= 0 {
 			a.broadcast(f, false)
 		}
 
-	case dist.FrameLS:
+	case FrameLS:
 		i := indexOf(rt.balls.Ball2R1[a.id], f.Origin)
 		if i < 0 {
 			rt.m.violation()
@@ -629,11 +693,11 @@ func (a *agent) onFrame(f dist.Frame) {
 		a.seenLS[i] = st
 		// The declaration carries no state the LB does not supersede;
 		// receipt only gates relaying.
-		if dist.Contains(rt.balls.Ball2R[a.id], f.Origin) {
+		if indexOf(rt.balls.Ball2R[a.id], f.Origin) >= 0 {
 			a.broadcast(f, false)
 		}
 
-	case dist.FrameLB:
+	case FrameLB:
 		i := indexOf(rt.balls.Ball3R2[a.id], f.Origin)
 		if i < 0 {
 			rt.m.violation()
@@ -645,7 +709,7 @@ func (a *agent) onFrame(f dist.Frame) {
 		}
 		a.seenLB[i] = st
 		a.view.Apply(rt.h, f.Round, f.Origin, f.Winners, f.Losers)
-		if dist.Contains(rt.balls.Ball3R1[a.id], f.Origin) {
+		if indexOf(rt.balls.Ball3R1[a.id], f.Origin) >= 0 {
 			a.broadcast(f, false)
 		}
 	}
@@ -653,7 +717,7 @@ func (a *agent) onFrame(f dist.Frame) {
 
 // broadcast sends one local-broadcast frame: one copy per conflict-graph
 // neighbor, each holding a credit until the transport resolves it.
-func (a *agent) broadcast(f dist.Frame, origination bool) {
+func (a *agent) broadcast(f Frame, origination bool) {
 	f.From = a.id
 	cnt := a.frames.Kind(f.Kind)
 	if origination {

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"multihopbandit/internal/dist"
 	"multihopbandit/internal/extgraph"
 	"multihopbandit/internal/mwis"
 	"multihopbandit/internal/protocol"
@@ -159,56 +158,83 @@ func TestGoldenOverTCP(t *testing.T) {
 	}
 }
 
-// TestCrossCheckDistAgreesFrameForFrame holds the two message-granular
-// executions — the loop-granular simulation and the concurrent runtime —
-// to identical winner sets, round counts AND per-kind frame counts under
-// identical loss seeds, across several loss rates. This is the contract
-// that rules out duplicated-protocol drift.
-func TestCrossCheckDistAgreesFrameForFrame(t *testing.T) {
+// TestCrossCheckOracleAgreesFrameForFrame holds the agents to the
+// sequential oracle — identical winner sets, round counts AND per-kind
+// frame counts under identical loss seeds — across loss rates and solvers.
+// The oracle solves each leader's ball as a list graph, the agents over
+// prepared adjacency rows, so this is also a differential test of the
+// local split under loss. Exact's four-node budget stops most searches,
+// so stopped incumbents are compared too. The agents' Metrics must count
+// the frames their Results report.
+func TestCrossCheckOracleAgreesFrameForFrame(t *testing.T) {
 	ext := testExt(t, 30, 3, 7, "random")
-	for _, loss := range []float64{0, 0.1, 0.3, 0.6} {
-		const seed = 99
-		drt, err := dist.New(dist.Config{Ext: ext, R: 2, D: 6, DropProb: loss, LossSeed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nrt, err := New(Config{
-			Ext: ext, R: 2, D: 6,
-			Transport: NewFaultTransport(NewChanTransport(), Faults{Seed: seed, Loss: loss}, nil),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := testWeights(ext, 8)
-		src := rng.New(9)
-		for step := 0; step < 5; step++ {
-			if step > 0 {
-				for i := range w {
-					if src.Float64() < 0.4 {
-						w[i] = src.Float64()
+	solvers := []struct {
+		name   string
+		solver mwis.Solver
+	}{
+		{"hybrid", mwis.Hybrid{}},
+		{"greedy", mwis.Greedy{}},
+		{"exact-budget4", mwis.Exact{Budget: 4}},
+	}
+	for _, sv := range solvers {
+		for _, loss := range []float64{0, 0.1, 0.3, 0.6} {
+			const seed = 99
+			o, err := newOracle(oracleConfig{Ext: ext, R: 2, D: 6, Solver: sv.solver, DropProb: loss, LossSeed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m Metrics
+			nrt, err := New(Config{
+				Ext: ext, R: 2, D: 6, Solver: sv.solver, Metrics: &m,
+				Transport: NewFaultTransport(NewChanTransport(), Faults{Seed: seed, Loss: loss}, nil),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var frames FrameStats
+			stops := 0
+			w := testWeights(ext, 8)
+			src := rng.New(9)
+			for step := 0; step < 5; step++ {
+				if step > 0 {
+					for i := range w {
+						if src.Float64() < 0.4 {
+							w[i] = src.Float64()
+						}
 					}
 				}
+				a, err := o.Decide(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := nrt.Decide(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(a.Winners, b.Winners) {
+					t.Fatalf("%s loss=%v step %d: winners diverge:\n oracle:  %v\n distnet: %v", sv.name, loss, step, a.Winners, b.Winners)
+				}
+				if a.Frames != b.Frames {
+					t.Fatalf("%s loss=%v step %d: frame counts diverge:\n oracle:  %+v\n distnet: %+v", sv.name, loss, step, a.Frames, b.Frames)
+				}
+				if a.MiniRounds != b.MiniRounds || a.Converged != b.Converged ||
+					a.Independent != b.Independent || a.Undetermined != b.Undetermined {
+					t.Fatalf("%s loss=%v step %d: outcome diverges: %+v vs %+v", sv.name, loss, step, a, b)
+				}
+				frames.Add(b.Frames)
+				stops += b.BudgetStops
 			}
-			a, err := drt.Decide(w)
-			if err != nil {
-				t.Fatal(err)
+			nrt.Close()
+			if _, exact := sv.solver.(mwis.Exact); exact && stops == 0 {
+				t.Fatalf("%s loss=%v: no search stopped at the budget", sv.name, loss)
 			}
-			b, err := nrt.Decide(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a.Winners, b.Winners) {
-				t.Fatalf("loss=%v step %d: winners diverge:\n dist:    %v\n distnet: %v", loss, step, a.Winners, b.Winners)
-			}
-			if a.Frames != b.Frames {
-				t.Fatalf("loss=%v step %d: frame counts diverge:\n dist:    %+v\n distnet: %+v", loss, step, a.Frames, b.Frames)
-			}
-			if a.MiniRounds != b.MiniRounds || a.Converged != b.Converged ||
-				a.Independent != b.Independent || a.Undetermined != b.Undetermined {
-				t.Fatalf("loss=%v step %d: outcome diverges: %+v vs %+v", loss, step, a, b)
+			snap := m.Snapshot()
+			for k := FrameWB; k <= FrameLB; k++ {
+				if got, want := snap.FramesSent[k.String()], int64(frames.Kind(k).Total()); got != want {
+					t.Fatalf("%s loss=%v: metrics count %d %s frames, results %d", sv.name, loss, got, k, want)
+				}
 			}
 		}
-		nrt.Close()
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"multihopbandit/internal/dist"
 )
 
 // Faults configures the composable fault-injection layer. The zero value
@@ -17,8 +15,8 @@ import (
 type Faults struct {
 	// Seed keys every fault draw.
 	Seed int64
-	// Loss is the independent per-copy loss probability, identical in law
-	// (and, given equal seeds, identical per copy) to dist.Config.DropProb.
+	// Loss is the independent per-copy loss probability: a copy is lost
+	// iff its identity hash under Seed falls below Loss.
 	Loss float64
 	// BurstEnter and BurstExit drive a per-directed-link Gilbert chain
 	// advanced once per logical Tick (the runtime ticks at every phase
@@ -46,7 +44,8 @@ func (f Faults) Active() bool {
 }
 
 // salts separating the fault layer's independent draw families. Loss draws
-// use the unsalted seed so they match dist.HashDrop copy for copy.
+// use the unsalted seed, which the tests' sequential oracle draws its loss
+// from too, copy for copy.
 const (
 	saltJitter  = 0x2002
 	saltReorder = 0x3003
@@ -152,7 +151,7 @@ func (t *FaultTransport) burstBad(from, to int) bool {
 	}
 	for st.tick < cur {
 		st.tick++
-		u := dist.UnitHash(t.cfg.Seed+saltBurst, int(st.tick), 0, 0, int(link), from, to)
+		u := unitHash(t.cfg.Seed+saltBurst, int(st.tick), 0, 0, int(link), from, to)
 		if st.bad {
 			if u < t.cfg.BurstExit {
 				st.bad = false
@@ -168,7 +167,7 @@ func (t *FaultTransport) burstBad(from, to int) bool {
 
 // Send implements Transport: decide the copy's fate, then forward, delay,
 // or drop it.
-func (t *FaultTransport) Send(from, to int, f dist.Frame) {
+func (t *FaultTransport) Send(from, to int, f Frame) {
 	if t.partitioned(from, to) {
 		t.m.copyDropped(f.Kind)
 		t.sink.Dropped(to, f, "partition")
@@ -179,7 +178,7 @@ func (t *FaultTransport) Send(from, to int, f dist.Frame) {
 		t.sink.Dropped(to, f, "burst")
 		return
 	}
-	if t.cfg.Loss > 0 && dist.UnitHash(t.cfg.Seed, f.Decision, f.Kind, f.Round, f.Origin, from, to) < t.cfg.Loss {
+	if t.cfg.Loss > 0 && unitHash(t.cfg.Seed, f.Decision, f.Kind, f.Round, f.Origin, from, to) < t.cfg.Loss {
 		t.m.copyDropped(f.Kind)
 		t.sink.Dropped(to, f, "loss")
 		return
@@ -190,11 +189,11 @@ func (t *FaultTransport) Send(from, to int, f dist.Frame) {
 	}
 	d := t.cfg.Latency
 	if t.cfg.Jitter > 0 {
-		u := dist.UnitHash(t.cfg.Seed+saltJitter, f.Decision, f.Kind, f.Round, f.Origin, from, to)
+		u := unitHash(t.cfg.Seed+saltJitter, f.Decision, f.Kind, f.Round, f.Origin, from, to)
 		d += time.Duration(u * float64(t.cfg.Jitter))
 	}
 	if t.cfg.Reorder > 0 {
-		u := dist.UnitHash(t.cfg.Seed+saltReorder, f.Decision, f.Kind, f.Round, f.Origin, from, to)
+		u := unitHash(t.cfg.Seed+saltReorder, f.Decision, f.Kind, f.Round, f.Origin, from, to)
 		if u < t.cfg.Reorder {
 			d += t.cfg.Latency + t.cfg.Jitter
 		}
@@ -233,7 +232,7 @@ type delayedCopy struct {
 	due      time.Time
 	seq      int64
 	from, to int
-	f        dist.Frame
+	f        Frame
 }
 
 type delayHeap []delayedCopy
@@ -265,7 +264,7 @@ func newDelayQueue(inner Transport) *delayQueue {
 	return q
 }
 
-func (q *delayQueue) hold(from, to int, f dist.Frame, d time.Duration) {
+func (q *delayQueue) hold(from, to int, f Frame, d time.Duration) {
 	q.mu.Lock()
 	q.seq++
 	heap.Push(&q.h, delayedCopy{due: time.Now().Add(d), seq: q.seq, from: from, to: to, f: f})

@@ -4,30 +4,28 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"multihopbandit/internal/dist"
 )
 
 // recorder is a Transport+Sink test double: it records every Send the
 // fault layer forwards and every Dropped the fault layer resolves.
 type recorder struct {
 	mu      sync.Mutex
-	sent    []dist.Frame
+	sent    []Frame
 	reasons []string
 }
 
 func (r *recorder) Start(n int, sink Sink) error { return nil }
 func (r *recorder) Close() error                 { return nil }
 
-func (r *recorder) Send(from, to int, f dist.Frame) {
+func (r *recorder) Send(from, to int, f Frame) {
 	r.mu.Lock()
 	r.sent = append(r.sent, f)
 	r.mu.Unlock()
 }
 
-func (r *recorder) Deliver(to int, f dist.Frame) {}
+func (r *recorder) Deliver(to int, f Frame) {}
 
-func (r *recorder) Dropped(to int, f dist.Frame, reason string) {
+func (r *recorder) Dropped(to int, f Frame, reason string) {
 	r.mu.Lock()
 	r.reasons = append(r.reasons, reason)
 	r.mu.Unlock()
@@ -77,7 +75,7 @@ func TestConstantLatencyPreservesFIFO(t *testing.T) {
 	ft, rec := startFaults(t, Faults{Seed: 1, Latency: 2 * time.Millisecond}, 2)
 	const copies = 64
 	for i := 0; i < copies; i++ {
-		ft.Send(0, 1, dist.Frame{Kind: dist.FrameWB, Origin: 0, From: 0, Round: i})
+		ft.Send(0, 1, Frame{Kind: FrameWB, Origin: 0, From: 0, Round: i})
 	}
 	rec.waitSent(t, copies)
 	if err := ft.Close(); err != nil {
@@ -96,7 +94,7 @@ func TestReorderShufflesDelivery(t *testing.T) {
 	ft, rec := startFaults(t, Faults{Seed: 2, Latency: time.Millisecond, Reorder: 0.5}, 2)
 	const copies = 128
 	for i := 0; i < copies; i++ {
-		ft.Send(0, 1, dist.Frame{Kind: dist.FrameWB, Origin: 0, From: 0, Round: i})
+		ft.Send(0, 1, Frame{Kind: FrameWB, Origin: 0, From: 0, Round: i})
 	}
 	rec.waitSent(t, copies)
 	if err := ft.Close(); err != nil {
@@ -120,10 +118,10 @@ func TestPartitionBlocksExactlyTheCut(t *testing.T) {
 	ft, rec := startFaults(t, Faults{}, 4)
 	ft.Partition("island", []int{0, 1})
 
-	ft.Send(0, 2, dist.Frame{Kind: dist.FrameWB}) // across the cut: dropped
-	ft.Send(2, 1, dist.Frame{Kind: dist.FrameWB}) // across the cut: dropped
-	ft.Send(0, 1, dist.Frame{Kind: dist.FrameWB}) // same side: delivered
-	ft.Send(2, 3, dist.Frame{Kind: dist.FrameWB}) // same side: delivered
+	ft.Send(0, 2, Frame{Kind: FrameWB}) // across the cut: dropped
+	ft.Send(2, 1, Frame{Kind: FrameWB}) // across the cut: dropped
+	ft.Send(0, 1, Frame{Kind: FrameWB}) // same side: delivered
+	ft.Send(2, 3, Frame{Kind: FrameWB}) // same side: delivered
 
 	rec.mu.Lock()
 	sent, reasons := len(rec.sent), append([]string(nil), rec.reasons...)
@@ -136,7 +134,7 @@ func TestPartitionBlocksExactlyTheCut(t *testing.T) {
 	}
 
 	ft.Heal("island")
-	ft.Send(0, 2, dist.Frame{Kind: dist.FrameWB})
+	ft.Send(0, 2, Frame{Kind: FrameWB})
 	rec.mu.Lock()
 	sent = len(rec.sent)
 	rec.mu.Unlock()
@@ -237,7 +235,7 @@ func TestCrashLosesOnlyDownWindowFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dist.Contains(down.Winners, crashed) {
+	if indexOf(down.Winners, crashed) >= 0 {
 		t.Fatalf("crashed agent %d still won", crashed)
 	}
 	if m.Snapshot().CrashDiscards == 0 {

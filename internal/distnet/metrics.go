@@ -1,17 +1,12 @@
 package distnet
 
-import (
-	"sync/atomic"
-
-	"multihopbandit/internal/dist"
-	"multihopbandit/internal/obs"
-)
+import "sync/atomic"
 
 // Metrics is the cumulative telemetry of one (or several) distnet runtimes:
-// atomic counters published through an obs.Registry as collector families.
-// Frame broadcasts are counted once per local broadcast (matching
-// dist.FrameStats accounting); copies are counted per link transmission,
-// which is what the fault layer actually drops or delays.
+// atomic counters, read through Snapshot. Frame broadcasts are counted once
+// per local broadcast (matching FrameStats accounting); copies are counted
+// per link transmission, which is what the fault layer actually drops or
+// delays.
 type Metrics struct {
 	framesSent    [3]atomic.Int64 // local broadcasts by kind
 	copiesDropped [3]atomic.Int64 // per-link copies killed by the fault layer
@@ -25,19 +20,19 @@ type Metrics struct {
 	protocolViolations  atomic.Int64 // out-of-scope or stale frames
 }
 
-func (m *Metrics) frameSent(k dist.FrameKind) {
+func (m *Metrics) frameSent(k FrameKind) {
 	if m != nil {
 		m.framesSent[k].Add(1)
 	}
 }
 
-func (m *Metrics) copyDropped(k dist.FrameKind) {
+func (m *Metrics) copyDropped(k FrameKind) {
 	if m != nil {
 		m.copiesDropped[k].Add(1)
 	}
 }
 
-func (m *Metrics) copyDelayed(k dist.FrameKind) {
+func (m *Metrics) copyDelayed(k FrameKind) {
 	if m != nil {
 		m.copiesDelayed[k].Add(1)
 	}
@@ -82,57 +77,10 @@ func (m *Metrics) Snapshot() Snapshot {
 		CrashDiscards:       m.crashDiscards.Load(),
 		ProtocolViolations:  m.protocolViolations.Load(),
 	}
-	for k := dist.FrameWB; k <= dist.FrameLB; k++ {
+	for k := FrameWB; k <= FrameLB; k++ {
 		s.FramesSent[k.String()] = m.framesSent[k].Load()
 		s.CopiesDropped[k.String()] = m.copiesDropped[k].Load()
 		s.CopiesDelayed[k.String()] = m.copiesDelayed[k].Load()
 	}
 	return s
-}
-
-// Register publishes the counters on reg under the distnet_ prefix.
-func (m *Metrics) Register(reg *obs.Registry) {
-	kinds := [3]dist.FrameKind{dist.FrameWB, dist.FrameLS, dist.FrameLB}
-	reg.RegisterValues("distnet_frames_total",
-		"Local-broadcast frames sent by the distnet agents, by flood kind.",
-		obs.KindCounter, func(emit obs.EmitValue) {
-			for _, k := range kinds {
-				emit(float64(m.framesSent[k].Load()), obs.L("kind", k.String()))
-			}
-		})
-	reg.RegisterValues("distnet_copies_total",
-		"Per-link frame copies the fault layer dropped or delayed, by flood kind.",
-		obs.KindCounter, func(emit obs.EmitValue) {
-			for _, k := range kinds {
-				emit(float64(m.copiesDropped[k].Load()), obs.L("kind", k.String()), obs.L("outcome", "dropped"))
-				emit(float64(m.copiesDelayed[k].Load()), obs.L("kind", k.String()), obs.L("outcome", "delayed"))
-			}
-		})
-	reg.RegisterValues("distnet_decisions_total",
-		"Distributed decisions executed, split by convergence outcome.",
-		obs.KindCounter, func(emit obs.EmitValue) {
-			failed := m.convergenceFailures.Load()
-			emit(float64(m.decisions.Load()-failed), obs.L("outcome", "converged"))
-			emit(float64(failed), obs.L("outcome", "failed"))
-		})
-	reg.RegisterValues("distnet_mini_rounds_total",
-		"Mini-rounds executed across all distnet decisions.",
-		obs.KindCounter, func(emit obs.EmitValue) {
-			emit(float64(m.miniRounds.Load()))
-		})
-	reg.RegisterValues("distnet_non_independent_total",
-		"Decisions whose believed winner set failed independence (conflicting determinations under loss).",
-		obs.KindCounter, func(emit obs.EmitValue) {
-			emit(float64(m.nonIndependent.Load()))
-		})
-	reg.RegisterValues("distnet_crash_discards_total",
-		"Frames discarded because the receiving agent was crashed.",
-		obs.KindCounter, func(emit obs.EmitValue) {
-			emit(float64(m.crashDiscards.Load()))
-		})
-	reg.RegisterValues("distnet_protocol_violations_total",
-		"Frames rejected as out-of-scope or stale (should stay zero).",
-		obs.KindCounter, func(emit obs.EmitValue) {
-			emit(float64(m.protocolViolations.Load()))
-		})
 }

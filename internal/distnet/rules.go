@@ -1,21 +1,17 @@
-package dist
+package distnet
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 
 	"multihopbandit/internal/graph"
-	"multihopbandit/internal/mwis"
 )
 
-// This file holds the agent rules of Algorithm 3 — the frame vocabulary,
-// the loss model, the hop-neighborhood tables, each agent's local view, and
-// the per-frame-kind relay discipline — shared verbatim by the two
-// message-granular executions: the loop-granular simulation in this package
-// and the concurrent agent runtime in internal/distnet. Both must make every
-// protocol decision through these functions so they cannot drift apart; the
-// cross-check test in distnet holds them to frame-for-frame agreement.
+// This file holds the agent rules of Algorithm 3: the frame vocabulary,
+// the identity-keyed loss hash, the hop-neighborhood tables, each agent's
+// local view and the leader-priority determination rule. The agents make
+// every protocol decision through these functions, and so does the
+// sequential oracle in this package's tests, which the cross-check test
+// holds to frame-for-frame agreement with the agents.
 
 // FrameKind labels the three flooding broadcasts of Algorithm 3.
 type FrameKind uint8
@@ -67,17 +63,11 @@ type Frame struct {
 	Losers []int
 }
 
-// DropFunc decides the fate of one frame copy on the directed link
-// from->to. It must be a pure function of the identity tuple so the outcome
-// is independent of delivery and evaluation order — that property is what
-// keeps the concurrent runtime deterministic.
-type DropFunc func(decision int, kind FrameKind, round, origin, from, to int) bool
-
-// UnitHash maps a frame-copy identity to a deterministic uniform [0,1)
-// value via a splitmix64-style mix. Both message-granular executions use it
-// for their loss draws, which is what makes identical seeds produce
-// identical per-copy fates in either execution.
-func UnitHash(seed int64, decision int, kind FrameKind, round, origin, from, to int) float64 {
+// unitHash maps a frame-copy identity to a deterministic uniform [0,1)
+// value via a splitmix64-style mix. The fault layer draws every loss from
+// it, so a copy's fate depends on its identity and the seed alone, never
+// on delivery or evaluation order.
+func unitHash(seed int64, decision int, kind FrameKind, round, origin, from, to int) float64 {
 	h := uint64(seed) ^ 0x9E3779B97F4A7C15
 	for _, x := range [...]uint64{
 		uint64(decision), uint64(kind), uint64(round),
@@ -93,27 +83,14 @@ func UnitHash(seed int64, decision int, kind FrameKind, round, origin, from, to 
 	return float64(h>>11) / (1 << 53)
 }
 
-// HashDrop builds the independent-loss DropFunc: each frame copy is lost
-// with probability p, decided by the copy's identity hash under seed.
-func HashDrop(seed int64, p float64) DropFunc {
-	if p <= 0 {
-		return nil
-	}
-	return func(decision int, kind FrameKind, round, origin, from, to int) bool {
-		return UnitHash(seed, decision, kind, round, origin, from, to) < p
-	}
-}
-
-// BallSets precomputes the sorted hop-neighborhoods Algorithm 3 consults,
+// ballSets precomputes the sorted hop-neighborhoods Algorithm 3 consults,
 // per vertex, for a fixed ball parameter r. The receipt balls bound who can
 // ever hold a flood's payload; the relay gates implement the distance-gated
 // relay rule: a vertex relays a first-seen flood iff the origin lies within
 // radius-1 hops of it, i.e. iff it sits strictly inside the flood radius.
 // Unlike a TTL rule, that predicate does not depend on which copy arrived
 // first, so the delivered set is a fixpoint independent of message order.
-type BallSets struct {
-	// R is the ball parameter.
-	R int
+type ballSets struct {
 	// BallR is each vertex's r-ball: the candidate scope of a leader's
 	// local MWIS.
 	BallR [][]int
@@ -128,11 +105,10 @@ type BallSets struct {
 	Ball3R2 [][]int
 }
 
-// NewBallSets runs one bounded BFS per vertex and classifies the balls.
-func NewBallSets(h *graph.Graph, r int) *BallSets {
+// newBallSets runs one bounded BFS per vertex and classifies the balls.
+func newBallSets(h *graph.Graph, r int) *ballSets {
 	n := h.N()
-	b := &BallSets{
-		R:       r,
+	b := &ballSets{
 		BallR:   make([][]int, n),
 		Ball2R:  make([][]int, n),
 		Ball2R1: make([][]int, n),
@@ -181,43 +157,31 @@ func NewBallSets(h *graph.Graph, r int) *BallSets {
 	return b
 }
 
-// RelayGate returns the per-vertex relay-gate balls for one flood kind.
-func (b *BallSets) RelayGate(kind FrameKind) [][]int {
-	if kind == FrameLB {
-		return b.Ball3R1
-	}
-	return b.Ball2R
-}
-
-// ReceiptBall returns the per-vertex receipt-scope balls for one flood kind.
-func (b *BallSets) ReceiptBall(kind FrameKind) [][]int {
-	if kind == FrameLB {
-		return b.Ball3R2
-	}
-	return b.Ball2R1
-}
-
-// Contains reports membership of x in a sorted vertex list.
-func Contains(sorted []int, x int) bool {
+// indexOf returns x's position in a sorted vertex list, or -1 when x is
+// not in it.
+func indexOf(sorted []int, x int) int {
 	i := sort.SearchInts(sorted, x)
-	return i < len(sorted) && sorted[i] == x
+	if i < len(sorted) && sorted[i] == x {
+		return i
+	}
+	return -1
 }
 
-// SelfStatus is one agent's own determination state within a decision.
-type SelfStatus uint8
+// selfStatus is one agent's own determination state within a decision.
+type selfStatus uint8
 
 const (
-	// Candidate means the agent has not yet been determined.
-	Candidate SelfStatus = iota
-	// Winner means some leader's determination put the agent in the output
+	// candidate means the agent has not yet been determined.
+	candidate selfStatus = iota
+	// winner means some leader's determination put the agent in the output
 	// independent set.
-	Winner
-	// Loser means the agent was determined out (listed as a loser or
+	winner
+	// loser means the agent was determined out (listed as a loser or
 	// adjacent to a determined winner).
-	Loser
+	loser
 )
 
-// View is one agent's local view of a decision in flight, scoped to its
+// view is one agent's local view of a decision in flight, scoped to its
 // (2r+1)-ball — the only vertices whose weights or candidacy the agent ever
 // consults. It holds which weights have been received, which ball members
 // are still believed to be candidates, and the agent's own status.
@@ -225,15 +189,15 @@ const (
 // Conflicting determinations (possible under loss, when two leaders that
 // cannot see each other both cover this agent) resolve by leader priority:
 // within one mini-round the lowest leader id wins, and earlier rounds always
-// beat later ones. The loop-granular simulation applies determinations in
+// beat later ones. The sequential oracle applies determinations in
 // ascending leader order, which realizes the same rule, so both executions
 // land on identical views regardless of frame arrival order.
-type View struct {
+type view struct {
 	// Self is the agent's own determination status.
-	Self SelfStatus
+	Self selfStatus
 
 	self         int
-	ball         []int // sorted (2r+1)-ball, shared with BallSets
+	ball         []int // sorted (2r+1)-ball, shared with ballSets
 	know         []bool
 	w            []float64
 	cand         []bool
@@ -241,10 +205,10 @@ type View struct {
 	decidedBy    int
 }
 
-// NewView builds an undecided view for one agent over its sorted
+// newView builds an undecided view for one agent over its sorted
 // (2r+1)-ball. Call Reset before each decision.
-func NewView(self int, ball2R1 []int) *View {
-	return &View{
+func newView(self int, ball2R1 []int) *view {
+	return &view{
 		self: self,
 		ball: ball2R1,
 		know: make([]bool, len(ball2R1)),
@@ -255,8 +219,8 @@ func NewView(self int, ball2R1 []int) *View {
 
 // Reset clears the view for a new decision; the agent knows only its own
 // weight and believes every ball member is a candidate.
-func (v *View) Reset(selfWeight float64) {
-	v.Self = Candidate
+func (v *view) Reset(selfWeight float64) {
+	v.Self = candidate
 	v.decidedRound = -1
 	v.decidedBy = 0
 	for i := range v.know {
@@ -269,40 +233,25 @@ func (v *View) Reset(selfWeight float64) {
 	}
 }
 
-func (v *View) idx(u int) int {
-	i := sort.SearchInts(v.ball, u)
-	if i < len(v.ball) && v.ball[i] == u {
-		return i
-	}
-	return -1
-}
+func (v *view) idx(u int) int { return indexOf(v.ball, u) }
 
-// LearnWeight records a WB payload. It reports whether the origin was in
-// scope (a frame about a vertex outside the ball is a protocol violation).
-func (v *View) LearnWeight(origin int, weight float64) bool {
-	i := v.idx(origin)
-	if i < 0 {
-		return false
+// LearnWeight records a WB payload. An origin outside the ball is ignored;
+// receivers check scope first, since such a frame is a protocol violation.
+func (v *view) LearnWeight(origin int, weight float64) {
+	if i := v.idx(origin); i >= 0 {
+		v.know[i] = true
+		v.w[i] = weight
 	}
-	v.know[i] = true
-	v.w[i] = weight
-	return true
 }
 
 // KnownWeight returns the weight the agent has recorded for u (0 when
 // unknown or out of scope — callers pass candidates, whose weights are
 // known by construction).
-func (v *View) KnownWeight(u int) float64 {
+func (v *view) KnownWeight(u int) float64 {
 	if i := v.idx(u); i >= 0 && v.know[i] {
 		return v.w[i]
 	}
 	return 0
-}
-
-// Knows reports whether the agent has received u's weight.
-func (v *View) Knows(u int) bool {
-	i := v.idx(u)
-	return i >= 0 && v.know[i]
 }
 
 // SelfElect applies the LocalLeader rule to the agent's own view: it leads
@@ -310,7 +259,7 @@ func (v *View) Knows(u int) bool {
 // (weight, -id). Vertices whose WB frame was lost do not compete, so under
 // loss this can crown conflicting leaders — that is the measured failure
 // mode, not a bug.
-func (v *View) SelfElect() bool {
+func (v *view) SelfElect() bool {
 	si := v.idx(v.self)
 	sw := v.w[si]
 	for i, u := range v.ball {
@@ -327,7 +276,7 @@ func (v *View) SelfElect() bool {
 // Candidates collects the leader's local candidate set A_r: ball members
 // within r hops that are known and still believed candidates, the leader
 // itself included. buf is an optional reusable backing slice.
-func (v *View) Candidates(ballR []int, buf []int) []int {
+func (v *view) Candidates(ballR []int, buf []int) []int {
 	ar := buf[:0]
 	for _, u := range ballR {
 		if u == v.self {
@@ -344,11 +293,11 @@ func (v *View) Candidates(ballR []int, buf []int) []int {
 // Apply folds one leader's determination into the view: winners and losers
 // leave the candidate pool, winner-neighbor exclusion is common knowledge
 // (every receiver knows the graph), and the agent's own status resolves by
-// the leader-priority rule described on View.
-func (v *View) Apply(h *graph.Graph, round, leader int, winners, losers []int) {
-	decide := func(st SelfStatus) {
+// the leader-priority rule described on view.
+func (v *view) Apply(h *graph.Graph, round, leader int, winners, losers []int) {
+	decide := func(st selfStatus) {
 		switch {
-		case v.Self == Candidate:
+		case v.Self == candidate:
 			v.Self = st
 			v.decidedRound = round
 			v.decidedBy = leader
@@ -362,14 +311,14 @@ func (v *View) Apply(h *graph.Graph, round, leader int, winners, losers []int) {
 			v.cand[i] = false
 		}
 		if u == v.self {
-			decide(Winner)
+			decide(winner)
 		}
 		for _, y := range h.Neighbors(u) {
 			if i := v.idx(y); i >= 0 {
 				v.cand[i] = false
 			}
 			if y == v.self {
-				decide(Loser)
+				decide(loser)
 			}
 		}
 	}
@@ -378,38 +327,9 @@ func (v *View) Apply(h *graph.Graph, round, leader int, winners, losers []int) {
 			v.cand[i] = false
 		}
 		if u == v.self {
-			decide(Loser)
+			decide(loser)
 		}
 	}
-}
-
-// LocalSplit computes one leader's determination: the MWIS of the subgraph
-// induced by its candidate set ar (leader included), splitting ar into
-// winners and losers. w maps a candidate to the weight the leader knows for
-// it. A solver budget overrun degrades to the solver's best-effort set, as
-// the lock-step protocol does.
-func LocalSplit(h *graph.Graph, solver mwis.Solver, ar []int, w func(int) float64) (winners, losers []int, err error) {
-	sub, origIDs := h.InducedSubgraph(ar)
-	ws := make([]float64, len(origIDs))
-	for i, u := range origIDs {
-		ws[i] = w(u)
-	}
-	localIS, err := solver.Solve(mwis.Instance{G: sub, W: ws})
-	if err != nil && !errors.Is(err, mwis.ErrBudgetExceeded) {
-		return nil, nil, fmt.Errorf("local MWIS: %w", err)
-	}
-	inIS := make(map[int]bool, len(localIS))
-	for _, li := range localIS {
-		inIS[origIDs[li]] = true
-	}
-	for _, u := range ar {
-		if inIS[u] {
-			winners = append(winners, u)
-		} else {
-			losers = append(losers, u)
-		}
-	}
-	return winners, losers, nil
 }
 
 // FrameCount counts local-broadcast transmissions of one flood kind. Every

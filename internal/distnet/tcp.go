@@ -10,8 +10,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-
-	"multihopbandit/internal/dist"
 )
 
 // TCPTransport carries frames over real TCP loopback connections, using
@@ -215,7 +213,7 @@ func (t *TCPTransport) readerExit(err error) {
 
 // Send implements Transport: encode the copy and write it on the sender's
 // shard connection; the hub forwards it to the destination shard.
-func (t *TCPTransport) Send(from, to int, f dist.Frame) {
+func (t *TCPTransport) Send(from, to int, f Frame) {
 	buf, _ := t.bufs.Get().([]byte)
 	frame := encodeFrame(buf, to, f)
 	err := t.client[from%t.shards].writeFrame(frame)
@@ -246,7 +244,7 @@ func (t *TCPTransport) Close() error {
 }
 
 // encodeFrame appends the wire form of (dst, f) to buf[:0].
-func encodeFrame(buf []byte, dst int, f dist.Frame) []byte {
+func encodeFrame(buf []byte, dst int, f Frame) []byte {
 	need := tcpFrameOverhead + 4*len(f.Winners) + 4*len(f.Losers)
 	if cap(buf) < need {
 		buf = make([]byte, 0, need)
@@ -279,11 +277,11 @@ func encodeFrame(buf []byte, dst int, f dist.Frame) []byte {
 
 // decodeFrame parses an encoded frame. The payload slices are freshly
 // allocated, preserving the read-only contract for receivers.
-func decodeFrame(frame []byte) (dst int, f dist.Frame) {
+func decodeFrame(frame []byte) (dst int, f Frame) {
 	get32 := func(off int) int { return int(int32(binary.LittleEndian.Uint32(frame[off:]))) }
 	dst = get32(0)
 	f.Decision = get32(4)
-	f.Kind = dist.FrameKind(frame[8])
+	f.Kind = FrameKind(frame[8])
 	f.Origin = get32(9)
 	f.From = get32(13)
 	f.Round = get32(17)

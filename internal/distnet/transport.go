@@ -2,8 +2,6 @@ package distnet
 
 import (
 	"fmt"
-
-	"multihopbandit/internal/dist"
 )
 
 // Sink receives the terminal fate of every frame copy a Transport (or a
@@ -13,10 +11,10 @@ import (
 type Sink interface {
 	// Deliver hands a frame copy to the destination agent. May be called
 	// from any goroutine.
-	Deliver(to int, f dist.Frame)
+	Deliver(to int, f Frame)
 	// Dropped reports a copy that will never arrive, with a reason label
 	// ("loss", "burst", "partition").
-	Dropped(to int, f dist.Frame, reason string)
+	Dropped(to int, f Frame, reason string)
 }
 
 // Transport moves frame copies between agents. Implementations must be
@@ -27,7 +25,7 @@ type Transport interface {
 	// Start binds the transport to n agent endpoints and the delivery sink.
 	Start(n int, sink Sink) error
 	// Send submits one frame copy on the from->to link.
-	Send(from, to int, f dist.Frame)
+	Send(from, to int, f Frame)
 	// Close tears the transport down; no Send may follow.
 	Close() error
 }
@@ -54,7 +52,7 @@ func (t *ChanTransport) Start(n int, sink Sink) error {
 }
 
 // Send implements Transport.
-func (t *ChanTransport) Send(from, to int, f dist.Frame) {
+func (t *ChanTransport) Send(from, to int, f Frame) {
 	t.sink.Deliver(to, f)
 }
 

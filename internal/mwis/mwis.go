@@ -135,8 +135,8 @@ func (Exact) Name() string { return "exact" }
 func (e Exact) Solve(in Instance) ([]int, error) { return solvePooled(in, e.SolveWorkspace) }
 
 // workspaces lends the Solve entry points a warm Workspace. A fresh one per
-// call allocates every buffer of the search, which on the small balls of
-// the distributed executions costs more than the search itself.
+// call allocates every buffer of the search, which on small balls, such as
+// RobustPTAS's inner per-ball solves, costs more than the search itself.
 var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
 
 // solvePooled runs a solver's workspace body on a pooled Workspace and
