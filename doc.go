@@ -102,11 +102,13 @@
 //     elects its leaders in one walk down that order, ORing ball rows into
 //     a running union;
 //   - scratch reused across boundaries (status bitsets, leader lists and
-//     the MWIS workspace), so a full decision allocates only its published
-//     Result; instances sharing one artifact projection in the serving
-//     runtime additionally share a pooled DecideArena keyed by protocol
-//     Runtime, so co-hosted replicas batch their boundary decides through
-//     common scratch storage;
+//     the MWIS workspace), so a full decision makes three allocations, all
+//     of them published: the Result, its per-mini-round weight series, and
+//     one backing array that its winners, strategy, per-mini-round leader
+//     counts and broadcast record share; instances sharing one artifact
+//     projection in the serving runtime additionally share a pooled
+//     DecideArena keyed by protocol Runtime, so co-hosted replicas batch
+//     their boundary decides through common scratch storage;
 //   - an epoch skip: a weight vector and previous-strategy set that compare
 //     equal to the previous boundary's return the cached previous Result
 //     without running the protocol at all;

@@ -121,19 +121,35 @@ func (e *Extended) Vertices(s Strategy) []int {
 // It returns an error if two vertices share a master node (which would be a
 // clique violation) or an id is out of range.
 func (e *Extended) StrategyFromVertices(ids []int) (Strategy, error) {
-	s := NewStrategy(e.N)
+	s := make(Strategy, e.N)
+	if err := e.FillStrategy(s, ids); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// FillStrategy is StrategyFromVertices into the caller's s, which must have
+// length N: it overwrites every entry, so s's previous contents do not
+// matter. On an error s holds a partial assignment.
+func (e *Extended) FillStrategy(s Strategy, ids []int) error {
+	if len(s) != e.N {
+		return fmt.Errorf("extgraph: strategy of length %d for %d nodes", len(s), e.N)
+	}
+	for i := range s {
+		s[i] = NoChannel
+	}
 	for _, id := range ids {
 		if id < 0 || id >= e.K() {
-			return nil, fmt.Errorf("extgraph: vertex id %d out of range [0,%d)", id, e.K())
+			return fmt.Errorf("extgraph: vertex id %d out of range [0,%d)", id, e.K())
 		}
 		v := e.VertexOf(id)
 		if s[v.Node] != NoChannel {
-			return nil, fmt.Errorf("extgraph: node %d assigned two channels (%d and %d)",
+			return fmt.Errorf("extgraph: node %d assigned two channels (%d and %d)",
 				v.Node, s[v.Node], v.Channel)
 		}
 		s[v.Node] = v.Channel
 	}
-	return s, nil
+	return nil
 }
 
 // Feasible reports whether the strategy's selected vertices form an

@@ -126,6 +126,41 @@ func TestStrategyFromVerticesErrors(t *testing.T) {
 	}
 }
 
+// TestFillStrategy checks the in-place fill: it overwrites whatever the
+// caller's strategy held with StrategyFromVertices' answer, and rejects a
+// strategy of the wrong length as well as the ids StrategyFromVertices
+// rejects.
+func TestFillStrategy(t *testing.T) {
+	ext, err := Build(triangle(t), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{ext.ID(1, 2), ext.ID(0, 0)}
+	want, err := ext.StrategyFromVertices(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Strategy{2, 1, 0}
+	if err := ext.FillStrategy(s, ids); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s, want) {
+		t.Fatalf("filled %v, want %v", s, want)
+	}
+	if err := ext.FillStrategy(s, nil); err != nil || !reflect.DeepEqual(s, NewStrategy(3)) {
+		t.Fatalf("no ids: %v (%v), want all silent", s, err)
+	}
+	if err := ext.FillStrategy(make(Strategy, 2), ids); err == nil {
+		t.Fatal("expected wrong-length error")
+	}
+	if err := ext.FillStrategy(s, []int{99}); err == nil {
+		t.Fatal("expected out-of-range error")
+	}
+	if err := ext.FillStrategy(s, []int{ext.ID(1, 0), ext.ID(1, 2)}); err == nil {
+		t.Fatal("expected duplicate-node error")
+	}
+}
+
 func TestFeasible(t *testing.T) {
 	ext, err := Build(triangle(t), 3)
 	if err != nil {

@@ -255,7 +255,7 @@ func (ws *Workspace) exact(p *Prepared, w []float64, budget int, track bool) ([]
 	for i := range order {
 		order[i] = i
 	}
-	sortByWeight(order, w)
+	SortByWeight(order, w)
 	rank := growInts(&ws.rank, n)
 	total := 0.0
 	for r, v := range order {

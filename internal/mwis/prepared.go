@@ -17,7 +17,8 @@ import (
 // and pays per solve only for relabelling them by weight and for the branch
 // and bound. The protocol decider keeps one per leader, but a leader's
 // candidate ball often changes between its decisions: on paper-scale
-// about half of the local solves are memo misses that prepare anew, which
+// about a third of the leader re-solves are memo misses that prepare anew
+// (the root package's TestDecideWorkGolden pins 310 of 999), which
 // PrepareInduced serves from the runtime's adjacency rows.
 //
 // A Prepared owns its storage — it stays valid even when the graph it was
@@ -341,7 +342,7 @@ func greedyPrepared(p *Prepared, w []float64, ws *Workspace) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sortByWeight(order, w)
+	SortByWeight(order, w)
 	removed := growBools(&ws.removed, n)
 	out := ws.gout[:0]
 	for _, v := range order {

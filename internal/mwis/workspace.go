@@ -146,15 +146,16 @@ func growBools(s *[]bool, n int) []bool {
 	return *s
 }
 
-// sortByWeight orders vertex ids by decreasing weight, ties toward the
+// SortByWeight orders vertex ids by decreasing weight, ties toward the
 // lower id, weights compared as floats (so −0 ties +0): Greedy.Solve's
-// comparator, which is a total order on ids with non-NaN weights, so every
-// sorting algorithm yields the same permutation. Up to 64 ids, the balls
-// the one-word search body takes, an inline insertion sort makes no
-// function call. Longer orders, the two-word and slice bodies' balls up to
-// Exact over all of H, keep slices.SortFunc: insertion's cost grows with
-// the square of the length.
-func sortByWeight(order []int, w []float64) {
+// comparator and the protocol decider's rank order, which is a total order
+// on ids with non-NaN weights, so every sorting algorithm yields the same
+// permutation. Up to 64 ids, the balls the one-word search body takes and
+// the vertices whose weight moved in a small network's decide, an inline
+// insertion sort makes no function call. Longer orders, the two-word and
+// slice bodies' balls up to Exact over all of H, keep slices.SortFunc:
+// insertion's cost grows with the square of the length.
+func SortByWeight(order []int, w []float64) {
 	if len(order) <= 64 {
 		for i := 1; i < len(order); i++ {
 			v := order[i]

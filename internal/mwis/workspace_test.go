@@ -451,7 +451,7 @@ func TestSolvePreparedNoAllocs(t *testing.T) {
 	}
 }
 
-// TestSortByWeightMatchesSortFunc pins sortByWeight, whose orders of at
+// TestSortByWeightMatchesSortFunc pins SortByWeight, whose orders of at
 // most 64 ids take an insertion sort, to slices.SortFunc under the
 // comparator it always had: weight descending, ties toward the lower id,
 // compared as floats. Lengths run on both sides of the 64 cutoff, in four
@@ -498,7 +498,7 @@ func TestSortByWeightMatchesSortFunc(t *testing.T) {
 					}
 					return a - b
 				})
-				sortByWeight(got, w)
+				SortByWeight(got, w)
 				if !slices.Equal(got, want) {
 					t.Fatalf("n=%d %s shuffled=%v: %v, want %v", n, r.name, shuffled, got, want)
 				}

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"testing"
 
 	"multihopbandit/internal/rng"
@@ -135,28 +136,53 @@ func TestHotPathNoAllocs(t *testing.T) {
 
 // BenchmarkPolicyUpdate measures one serving round of the index-update hot
 // path — Update followed by a buffered index recomputation — for each
-// policy. Guards the zero-allocation property via -benchmem.
+// policy in name order. Those cases replay one fixed 8-arm round, so the 40
+// other arms keep their warm-up counts and Zhou-Li takes the logarithm for
+// them; the zhou-li-rotating case cycles through rounds that play every arm,
+// so its counts grow with the round and the bonus's early-out is measured
+// too. Guards the zero-allocation property via -benchmem.
 func BenchmarkPolicyUpdate(b *testing.B) {
 	const k = 48
-	for name, pol := range hotPathPolicies(b, k) {
-		b.Run(name, func(b *testing.B) {
-			played, rewards := hotPathRound(k, 1)
-			dst := make([]float64, k)
-			wr := pol.(IndexWriter)
-			for r := 0; r < 10; r++ {
-				p, rw := hotPathRound(k, r)
-				if err := pol.Update(p, rw); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := pol.Update(played, rewards); err != nil {
-					b.Fatal(err)
-				}
-				wr.WriteIndices(dst, nil)
-			}
-		})
+	pols := hotPathPolicies(b, k)
+	names := make([]string, 0, len(pols))
+	for name := range pols {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		b.Run(name, func(b *testing.B) { benchPolicyRounds(b, pols[name], k, 1) })
+	}
+	zl, err := NewZhouLi(k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// hotPathRound's rounds 1–16 play all 48 arms between them.
+	b.Run("zhou-li-rotating", func(b *testing.B) { benchPolicyRounds(b, zl, k, 16) })
+}
+
+// benchPolicyRounds warms pol with hotPathRound's first ten rounds, then
+// times Update and WriteIndices over its rounds 1 to cycle in turn.
+func benchPolicyRounds(b *testing.B, pol Policy, k, cycle int) {
+	played := make([][]int, cycle)
+	rewards := make([][]float64, cycle)
+	for r := range played {
+		played[r], rewards[r] = hotPathRound(k, r+1)
+	}
+	dst := make([]float64, k)
+	wr := pol.(IndexWriter)
+	for r := 0; r < 10; r++ {
+		p, rw := hotPathRound(k, r)
+		if err := pol.Update(p, rw); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := i % cycle
+		if err := pol.Update(played[r], rewards[r]); err != nil {
+			b.Fatal(err)
+		}
+		wr.WriteIndices(dst, nil)
 	}
 }

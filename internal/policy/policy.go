@@ -145,9 +145,23 @@ func zhouLiBonus(t, k, m float64) float64 {
 }
 
 // zhouLiBonusPow is zhouLiBonus with t^{2/3} precomputed, so per-arm index
-// loops can hoist the math.Pow call.
+// loops can hoist the math.Pow call. It returns 0 without calling math.Log
+// once arg = t^{2/3}/(K·m) ≤ 1, i.e. once the arm has m ≥ t^{2/3}/K plays
+// and equation (3)'s max(·, 0) zeroes the term: math.Log is within one ulp
+// and Log(1) = 0, so Log(x) ≤ 0 for every x ≤ 1 and logBonus would return
+// the same 0 (TestZhouLiBonusEarlyOutExact checks both). A NaN argument
+// fails the comparison and takes the logarithm as before.
 func zhouLiBonusPow(t23, k, m float64) float64 {
 	arg := t23 / (k * m)
+	if arg <= 1 {
+		return 0
+	}
+	return logBonus(arg, m)
+}
+
+// logBonus is sqrt(max(ln(arg), 0)/m), out of line so that zhouLiBonusPow
+// stays small enough to inline into the index loops.
+func logBonus(arg, m float64) float64 {
 	logTerm := math.Log(arg)
 	if logTerm <= 0 {
 		return 0

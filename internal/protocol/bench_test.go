@@ -8,15 +8,15 @@ import (
 	"multihopbandit/internal/topology"
 )
 
-func buildExtB(b *testing.B, n, m int, seed int64) *extgraph.Extended {
-	b.Helper()
+func buildExtB(tb testing.TB, n, m int, seed int64) *extgraph.Extended {
+	tb.Helper()
 	nw, err := topology.Random(topology.RandomConfig{N: n, RequireConnected: true}, rng.New(seed))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ext, err := extgraph.Build(nw.G, m)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return ext
 }

@@ -237,9 +237,12 @@ func (a *DecideArena) put(sc *decideScratch) { a.pool.Put(sc) }
 // per-consumer state alive across decisions:
 //
 //   - scratch buffers (status bitsets, leader lists, candidate sets) and an
-//     mwis.Workspace, so a steady-state full decision allocates only its
-//     published Result (optionally borrowed per decide from a shared
-//     DecideArena);
+//     mwis.Workspace (optionally borrowed per decide from a shared
+//     DecideArena), so a steady-state full decision makes three
+//     allocations, all of them published: the Result, its
+//     WeightByMiniRound, and one backing array that its Winners, Strategy,
+//     LeadersByMiniRound and broadcast record share
+//     (TestDeciderFullDecideAllocs);
 //   - a weight-epoch cache: when the weight vector and previous-strategy
 //     set equal the previous call's, the cached Result is returned without
 //     running the protocol (the distributed system would broadcast no
@@ -516,15 +519,16 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 		}
 	}
 	res.Converged = candidates == 0
-	// The series stay nil without a mini-round, as the oracle leaves them.
-	if res.MiniRounds > 0 {
-		res.WeightByMiniRound = slices.Clone(sc.roundW)
-		res.LeadersByMiniRound = slices.Clone(sc.roundL)
-	}
 
-	// Winners are collected in ascending id.
+	// Every published []int — Winners, Strategy, LeadersByMiniRound and
+	// the broadcast record — is carved from one backing array, each capped
+	// at its own length, so no append through one reaches the next.
+	p := len(prevPlayed)
+	buf := make([]int, winnerCount+rt.ext.N+res.MiniRounds+p+len(sc.declared))
+	// Winners are collected in ascending id; they and the series stay nil
+	// where the oracle leaves them nil.
 	if winnerCount > 0 {
-		res.Winners = make([]int, 0, winnerCount)
+		res.Winners = carve(&buf, winnerCount)[:0]
 		for wi, word := range won {
 			for ; word != 0; word &= word - 1 {
 				res.Winners = append(res.Winners, wi*64+bits.TrailingZeros64(word))
@@ -534,13 +538,16 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 	if !d.winnersIndependent(won, res.Winners) {
 		return nil, errors.New("protocol: internal error: winners are not independent")
 	}
-	strategy, err := rt.ext.StrategyFromVertices(res.Winners)
-	if err != nil {
+	res.Strategy = carve(&buf, rt.ext.N)
+	if err := rt.ext.FillStrategy(res.Strategy, res.Winners); err != nil {
 		return nil, fmt.Errorf("protocol: winners to strategy: %w", err)
 	}
-	res.Strategy = strategy
-	p := len(prevPlayed)
-	sent := make([]int, p+len(sc.declared))
+	if res.MiniRounds > 0 {
+		res.WeightByMiniRound = slices.Clone(sc.roundW)
+		res.LeadersByMiniRound = carve(&buf, res.MiniRounds)
+		copy(res.LeadersByMiniRound, sc.roundL)
+	}
+	sent := carve(&buf, p+len(sc.declared))
 	copy(sent, prevPlayed)
 	copy(sent[p:], sc.declared)
 	res.Stats.sent = broadcasts{rt: rt, played: sent[:p:p], leaders: sent[p:]}
@@ -559,13 +566,21 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 	return res, nil
 }
 
+// carve returns the first n entries of *buf, capped at n, and advances
+// *buf past them.
+func carve(buf *[]int, n int) []int {
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
+}
+
 // rankOrder brings d.order to the rank order of weights: weight descending,
 // ties toward the lower id, compared as float values (so −0 ties +0) —
-// exactly selectLeaders' comparison. With a previous Result the order holds
-// under lastW, and the vertices whose weight still equals lastW keep their
-// relative order, so only the others are re-sorted and merged back in.
-// Without one (the first decide, or after a failed one) every vertex is
-// re-sorted.
+// exactly selectLeaders' comparison and mwis.SortByWeight's. With a
+// previous Result the order holds under lastW, and the vertices whose
+// weight still equals lastW keep their relative order, so only the others
+// are re-sorted and merged back in. Without one (the first decide, or
+// after a failed one) every vertex is re-sorted.
 func (d *Decider) rankOrder(sc *decideScratch, weights []float64) {
 	moved, kept := sc.moved[:0], d.order[:0]
 	if d.lastRes == nil {
@@ -581,15 +596,7 @@ func (d *Decider) rankOrder(sc *decideScratch, weights []float64) {
 			}
 		}
 	}
-	slices.SortFunc(moved, func(a, b int) int {
-		if wa, wb := weights[a], weights[b]; wa != wb {
-			if wa > wb {
-				return -1
-			}
-			return 1
-		}
-		return a - b
-	})
+	mwis.SortByWeight(moved, weights)
 	// Merge from the back: kept is compacted to the front of d.order, so
 	// every slot written lies past the kept entries still to be read.
 	i, j := len(kept)-1, len(moved)-1

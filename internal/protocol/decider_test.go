@@ -580,26 +580,36 @@ func TestDeciderCountsBudgetStops(t *testing.T) {
 	}
 }
 
-// BenchmarkDeciderServeShape is BenchmarkDecideServeShape on the
-// incremental path with epoch-breaking weights (the serving runtime's
-// worst case: every decision is a full decide).
-func BenchmarkDeciderServeShape(b *testing.B) {
-	ext := buildExtB(b, 10, 2, 1)
+// serveShapeDecider returns a Decider on the serving shape (a 10×2
+// network, r=2, D=4) after its first decide, with that decide's weights and
+// winners. The loop BenchmarkDeciderServeShape and
+// TestDeciderFullDecideAllocs run from there moves one weight by 1e-9 per
+// decide, so every decide is a full one.
+func serveShapeDecider(tb testing.TB) (dec *Decider, weights []float64, prev []int) {
+	tb.Helper()
+	ext := buildExtB(tb, 10, 2, 1)
 	rt, err := New(Config{Ext: ext, R: 2, D: 4})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	dec := rt.NewDecider()
-	weights := make([]float64, ext.K())
+	dec = rt.NewDecider()
+	weights = make([]float64, ext.K())
 	src := rng.New(2)
 	for i := range weights {
 		weights[i] = src.Float64()
 	}
 	res, err := dec.Decide(weights, nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	prev := res.Winners
+	return dec, weights, res.Winners
+}
+
+// BenchmarkDeciderServeShape is BenchmarkDecideServeShape on the
+// incremental path with epoch-breaking weights (the serving runtime's
+// worst case: every decision is a full decide).
+func BenchmarkDeciderServeShape(b *testing.B) {
+	dec, weights, prev := serveShapeDecider(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -607,6 +617,60 @@ func BenchmarkDeciderServeShape(b *testing.B) {
 		if _, err := dec.Decide(weights, prev); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDeciderFullDecideAllocs runs BenchmarkDeciderServeShape's loop and
+// pins what a full decide allocates: at most three things, all of them
+// published — the Result, its WeightByMiniRound, and the one backing array
+// its Winners, Strategy, LeadersByMiniRound and broadcast record share.
+func TestDeciderFullDecideAllocs(t *testing.T) {
+	dec, weights, prev := serveShapeDecider(t)
+	const runs = 200
+	before := dec.Stats().FullDecides
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		weights[i%len(weights)] += 1e-9
+		i++
+		if _, err := dec.Decide(weights, prev); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// AllocsPerRun adds one warm-up call.
+	if got := dec.Stats().FullDecides - before; got != runs+1 {
+		t.Fatalf("%d full decides in %d calls: the loop must break every epoch", got, runs+1)
+	}
+	if allocs > 3 {
+		t.Errorf("a full decide allocates %.1f times, want at most 3", allocs)
+	}
+}
+
+// TestDeciderResultSlicesCapped checks that every []int a full decide
+// publishes is capped at its length: they share one backing array, so an
+// append through one must reallocate rather than overwrite the next.
+func TestDeciderResultSlicesCapped(t *testing.T) {
+	dec, weights, prev := serveShapeDecider(t)
+	for i := 0; i < 20; i++ {
+		weights[i%len(weights)] += 1e-9
+		res, err := dec.Decide(weights, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []struct {
+			name string
+			s    []int
+		}{
+			{"Winners", res.Winners},
+			{"Strategy", res.Strategy},
+			{"LeadersByMiniRound", res.LeadersByMiniRound},
+			{"WB senders", res.Stats.sent.played},
+			{"leaders", res.Stats.sent.leaders},
+		} {
+			if len(s.s) != cap(s.s) {
+				t.Fatalf("decide %d: %s has length %d but capacity %d", i, s.name, len(s.s), cap(s.s))
+			}
+		}
+		prev = res.Winners
 	}
 }
 
