@@ -44,7 +44,7 @@ var decideWorkGolden = []struct {
 }{
 	{"fleet-drift", tenByTwo(11, 12, 1), 2048, decideWork{
 		stats: protocol.DecideStats{
-			FullDecides: 2048, SensitivitySkips: 1344, MemoStructHits: 694, MemoMisses: 16,
+			FullDecides: 2048, SensitivitySkips: 1293, MemoStructHits: 745, MemoMisses: 16,
 			MiniRounds: 2054, WeightBroadcasts: 8186, LeaderDeclarations: 2054, LocalBroadcasts: 2054,
 			MiniTimeslots: 77902,
 		},
@@ -59,7 +59,7 @@ var decideWorkGolden = []struct {
 		Decision: spec.DecisionSpec{UpdateEvery: 1},
 	}, 128, decideWork{
 		stats: protocol.DecideStats{
-			FullDecides: 128, SensitivitySkips: 709, MemoStructHits: 689, MemoMisses: 310,
+			FullDecides: 128, SensitivitySkips: 710, MemoStructHits: 688, MemoMisses: 310,
 			MiniRounds: 512, WeightBroadcasts: 10221, LeaderDeclarations: 1708, LocalBroadcasts: 1708,
 			MiniTimeslots: 9856,
 		},
@@ -89,7 +89,7 @@ var decideWorkGolden = []struct {
 	}},
 	{"observe-wire-durable", tenByTwo(31, 32, 4), 2048, decideWork{
 		stats: protocol.DecideStats{
-			FullDecides: 512, SensitivitySkips: 1479, MemoStructHits: 36, MemoMisses: 17,
+			FullDecides: 512, SensitivitySkips: 1476, MemoStructHits: 39, MemoMisses: 17,
 			MiniRounds: 1020, WeightBroadcasts: 3118, LeaderDeclarations: 1532, LocalBroadcasts: 1532,
 			MiniTimeslots: 26060,
 		},

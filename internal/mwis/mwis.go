@@ -7,7 +7,10 @@
 //
 //   - Exact: branch-and-bound with a clique-partition upper bound, exact on
 //     instances up to a few hundred vertices (used for ground truth and for
-//     the LocalLeaders' local enumerations).
+//     the LocalLeaders' local enumerations). On up to 64 vertices, the
+//     size of most local balls, the partition is a clique cover fitted to
+//     each solve's weight order; on more, a partition by degree that a
+//     Prepared graph keeps across solves.
 //   - Greedy: max-weight-first, a fast constant-factor heuristic.
 //   - Hybrid: Exact under a budget with Greedy fallback, the practical local
 //     solver suggested in §IV-C ("we can use more efficient constant
@@ -108,11 +111,13 @@ var ErrBudgetExceeded = errors.New("mwis: branch-and-bound budget exceeded")
 // heaviest remaining vertex (ties toward the lower id), including it first.
 // The upper bound is a greedy clique partition (each clique contributes at
 // most its heaviest remaining member), which is tight on the extended
-// conflict graph H where every node's channel copies form a clique; past
-// its first coverAfter nodes a search also tries a greedy clique cover of
-// each node's own remaining set. Each search first relabels the instance
-// by descending weight, so that both the pivot and the bound are bit scans
-// (see search).
+// conflict graph H where every node's channel copies form a clique. On up
+// to 64 vertices the partition is the greedy clique cover of the instance
+// in descending weight order (rootCover); on more, Prepared's partition by
+// degree. Past its first coverAfter nodes a search also tries a greedy
+// clique cover of each node's own remaining set. Each search first
+// relabels the instance by descending weight, so that both the pivot and
+// the bound are bit scans (see search).
 type Exact struct {
 	// MaxNodes rejects instances larger than this (0 = 4096) to guard
 	// against accidentally exponential calls.
@@ -156,15 +161,17 @@ func solvePooled(in Instance, solve func(Instance, *Workspace) ([]int, error)) (
 // space: rank r is the r-th vertex by descending weight, ties toward the
 // lower id. That is the order the pivot rule picks vertices in, so the
 // pivot is the lowest remaining rank, and the lowest remaining rank of a
-// clique, its head, is its heaviest remaining member. Each node carries
-// the heads of its remaining set down the tree, so the clique bound is a
-// sum over one bitset, and it carries that sum too, as an estimate that
-// each child updates by the few heads its branch swapped. A node re-sums
-// its heads only where the estimate's rounding could change a prune, a
-// margin note or a gap deposit (see bound), so each of those is what an
-// exact sum at every node would give. Past coverAfter nodes, a node the
-// carried bound leaves open also builds a clique cover of its remaining
-// set and prunes on its heads (coverWord).
+// clique, its head, is its heaviest remaining member. The cliques, one
+// mask per rank in cmask, are the root cover's on one word (rootCover) and
+// Prepared's on more. Each node carries the heads of its remaining set
+// down the tree, so the clique bound is a sum over one bitset, and it
+// carries that sum too, as an estimate that each child updates by the few
+// heads its branch swapped. A node re-sums its heads only where the
+// estimate's rounding could change a prune, a margin note or a gap deposit
+// (see bound), so each of those is what an exact sum at every node would
+// give. Past coverAfter nodes, a node the carried bound leaves open also
+// builds a clique cover of its remaining set and prunes on its heads
+// (coverWord).
 //
 // Rows are rank-major, words words each: row r of adj is
 // adj[r*words:(r+1)*words]. The body that runs the search is chosen by
@@ -232,8 +239,9 @@ func (st *search) note(diff float64) {
 // holds both slack certificates afterwards. An instance of at most 64
 // vertices runs branchWord, one of 65 to 128 branchPair, a larger one
 // branch; all three make the same comparisons in the same order. A
-// one-word instance also builds each rank's row in a register and its
-// clique masks a word at a time.
+// one-word instance also builds each rank's row in a register, and bounds
+// by the cover of the whole ball that rootCover fits to w instead of by
+// p's partition, which only the larger bodies read.
 //
 // The rank-space search is the id-space branch and bound with the bound's
 // clique maxima summed by rank instead of by id. Rounding can differ in the
@@ -265,10 +273,14 @@ func (ws *Workspace) exact(p *Prepared, w []float64, budget int, track bool) ([]
 	}
 	st.tol = carryTol(n, total)
 	// Every bitset of the search comes out of one zeroed arena: the rank
-	// adjacency, each rank's clique mask, one mask per clique, the
-	// incumbent, the root's remaining set and heads, the chosen set, the
-	// result in id space, and for the slice body three per recursion depth.
-	need := words * (2*n + p.ncliques + 5)
+	// adjacency, each rank's clique mask, the incumbent, the root's
+	// remaining set and heads, the chosen set, the result in id space, and
+	// past one word one mask per clique of p's partition and, for the slice
+	// body, three per recursion depth.
+	need := words * (2*n + 5)
+	if words > 1 {
+		need += words * p.ncliques
+	}
 	if words > 2 {
 		need += words * 3 * (n + 1)
 	}
@@ -283,30 +295,23 @@ func (ws *Workspace) exact(p *Prepared, w []float64, budget int, track bool) ([]
 		return b
 	}
 	st.adj, st.cmask = take(n), take(n)
-	cliques := take(p.ncliques)
 	st.best = take(1)
 	full, heads, cur, ids := take(1), take(1), take(1), take(1)
 	if words == 1 {
-		// One word per row: each rank's row builds up in a register and
-		// is stored once, each clique's mask takes one OR per member and
-		// each rank copies its clique's, and a clique's head is its mask's
-		// lowest bit.
+		// One word per row: each rank's row builds up in a register and is
+		// stored once, and the partition is the cover of the whole ball
+		// that rootCover builds in rank order, not p's.
 		for r, v := range order {
 			var row uint64
 			for word := p.arena[v]; word != 0; word &= word - 1 {
 				row |= 1 << (uint(rank[bits.TrailingZeros64(word)]) % 64)
 			}
 			st.adj[r] = row
-			cliques[p.clique[v]] |= 1 << (uint(r) % 64)
-		}
-		for r, v := range order {
-			st.cmask[r] = cliques[p.clique[v]]
 		}
 		full[0] = ^uint64(0) >> (uint(64-n) % 64)
-		for _, c := range cliques {
-			heads[0] |= c & -c
-		}
+		heads[0] = st.rootCover(full[0])
 	} else {
+		cliques := take(p.ncliques)
 		for r, v := range order {
 			row := st.adj[r*words : (r+1)*words]
 			for wi, word := range p.row(v) {
@@ -355,6 +360,53 @@ func (ws *Workspace) exact(p *Prepared, w []float64, budget int, track bool) ([]
 	}
 	ws.eout = out
 	return out, exhausted
+}
+
+// rootCover partitions remaining, a one-word ball's every rank, into the
+// cliques coverWord builds: the lowest remaining rank opens a clique, which
+// takes in ascending rank every remaining rank adjacent to all of its
+// members so far. It writes each member's clique to cmask and returns the
+// cliques' heads, their openers. This is the partition that bounds every
+// node of a one-word search. Prepared's partition takes the vertices by
+// degree and ignores the weights; this one is fitted to the weight order,
+// the colouring bound of max-clique branch and bound (E. Tomita and T.
+// Seki, DMTCS 2003; weighted in P. San Segundo, F. Furini and J. Artieda,
+// Computers & OR 110, 2019), and on the work golden's Fig. 6-size balls
+// its searches take 27–35% fewer nodes (EXPERIMENTS.md, "Root cover on
+// one-word balls").
+//
+// Each opener and each member is the lowest rank of a set that adjacency
+// fixes once the earlier choices are made: the remaining ranks for an
+// opener, the candidates adjacent to every member so far for a member. So,
+// as for the pivot, one margin certifies each choice, and a tracking
+// search notes it: the chosen rank's weight less that of the set's next
+// rank. Under any drift below every such margin the cover holds the same
+// vertices in the same cliques, and the bound's maxima over them move as
+// prune's note allows.
+func (st *search) rootCover(remaining uint64) (heads uint64) {
+	for remaining != 0 {
+		v := bits.TrailingZeros64(remaining)
+		clique := remaining & -remaining
+		remaining ^= clique
+		if st.track && remaining != 0 {
+			st.note(st.w[v] - st.w[bits.TrailingZeros64(remaining)])
+		}
+		for q := remaining & st.adj[v]; q != 0; {
+			u := bits.TrailingZeros64(q)
+			clique |= q & -q
+			q &= q - 1
+			if st.track && q != 0 {
+				st.note(st.w[u] - st.w[bits.TrailingZeros64(q)])
+			}
+			q &= st.adj[u]
+		}
+		remaining &^= clique
+		heads |= clique & -clique
+		for m := clique; m != 0; m &= m - 1 {
+			st.cmask[bits.TrailingZeros64(m)] = clique
+		}
+	}
+	return heads
 }
 
 // upperBound sums, per clique, the heaviest remaining vertex: an independent
@@ -463,25 +515,26 @@ func (st *search) prune(curW, ub float64) bool {
 }
 
 // coverAfter is the node count past which a search bounds each node twice.
-// Every node first tries the static bound, the heads of the partition that
-// Prepared fixed at the root, which the node carries from its parent
-// (bound). From the search's (coverAfter+1)-th node on, a node that the
-// static bound leaves open also sums the heads of a greedy clique cover of
-// its own remaining set (coverWord) and prunes on that sum. The static
-// partition was fitted to the whole ball; deep in a hard search the
-// remaining set is a small part of it, and the cover fitted to that part
-// is the colouring bound of max-clique branch and bound (E. Tomita and T.
-// Seki, DMTCS 2003; bit-parallel in P. San Segundo et al., Computers & OR
-// 38(2), 2011), applied to the complement. It costs a pass over the
-// remaining set per node, several static nodes' worth on a two-word ball,
-// so only hard searches build one: with the switch at 1,024 nodes, the
-// two-word balls that take a few thousand static nodes, common in the
-// decider's steady state, ran about three times slower. A search that
-// ends within coverAfter nodes makes exactly the comparisons, and keeps
-// exactly the certificates, of a search without it. The pivot rule is
-// untouched and a prune never drops a set heavier than the incumbent, so
-// whatever bound prunes it, a search that finishes returns the first
-// maximum-weight set in include-first order.
+// Every node first tries the static bound, the heads of the partition
+// fixed at the root (rootCover's on one word, Prepared's on more), which
+// the node carries from its parent (bound). From the search's
+// (coverAfter+1)-th node on, a node that the static bound leaves open also
+// sums the heads of a greedy clique cover of its own remaining set
+// (coverWord) and prunes on that sum. The static partition was fitted to
+// the whole ball; deep in a hard search the remaining set is a small part
+// of it, and the cover fitted to that part is the colouring bound of
+// max-clique branch and bound (E. Tomita and T. Seki, DMTCS 2003;
+// bit-parallel in P. San Segundo et al., Computers & OR 38(2), 2011),
+// applied to the complement. It costs a pass over the remaining set per
+// node, several static nodes' worth on a two-word ball, so only hard
+// searches build one: with the switch at 1,024 nodes, the two-word balls
+// that take a few thousand static nodes, common in the decider's steady
+// state, ran about three times slower. A search that ends within
+// coverAfter nodes makes exactly the comparisons, and keeps exactly the
+// certificates, of a search without it. The pivot rule is untouched and a
+// prune never drops a set heavier than the incumbent, so whatever bound
+// prunes it, a search that finishes returns the first maximum-weight set
+// in include-first order.
 const coverAfter = 8192
 
 // open reports whether a node of weight curW whose cover heads sum to at
@@ -502,10 +555,10 @@ func (st *search) open(curW, sum float64) bool { return curW+sum > st.bestW }
 // the first clique whose members are all its neighbours (reference_test.go
 // builds it that way).
 //
-// The cover depends on the whole rank order, which no margin the traversal
-// slack records certifies, so building one voids that certificate. The
-// uniqueness gap stays sound: the sum bounds every set in the subtree it
-// prunes, and prune deposits it.
+// The cover depends on the rank order of the remaining set, and unlike
+// rootCover it notes no margin for the choices that build it, so building
+// one voids the traversal certificate. The uniqueness gap stays sound: the
+// sum bounds every set in the subtree it prunes, and prune deposits it.
 func (st *search) coverWord(curW float64, remaining uint64) bool {
 	st.note(0)
 	sum := 0.0

@@ -11,15 +11,18 @@ import (
 )
 
 // Prepared is the weight-independent preprocessing of one MWIS graph: its
-// adjacency as bitset rows and the greedy clique partition the exact
-// solver's upper bound uses. Both depend only on the graph structure, so a
-// caller that solves the same graph under drifting weights prepares once
-// and pays per solve only for relabelling them by weight and for the branch
-// and bound. The protocol decider keeps one per leader, but a leader's
-// candidate ball often changes between its decisions: on paper-scale
-// about a third of the leader re-solves are memo misses that prepare anew
-// (the root package's TestDecideWorkGolden pins 310 of 999), which
-// PrepareInduced serves from the runtime's adjacency rows.
+// adjacency as bitset rows and a greedy clique partition by degree. Both
+// depend only on the graph structure, so a caller that solves the same
+// graph under drifting weights prepares once and pays per solve only for
+// relabelling them by weight and for the branch and bound. The partition
+// bounds the exact search on graphs of more than 64 vertices, its two-word
+// and slice bodies, and gives nodeBound; a one-word search bounds by a
+// cover it fits to each solve's weights instead (rootCover). The protocol
+// decider keeps one per leader, but a leader's candidate ball often
+// changes between its decisions: on paper-scale about a third of the
+// leader re-solves are memo misses that prepare anew (the root package's
+// TestDecideWorkGolden pins 310 of 998), which PrepareInduced serves from
+// the runtime's adjacency rows.
 //
 // A Prepared owns its storage — it stays valid even when the graph it was
 // prepared from lives in reused arena memory. Prepare and PrepareInduced
@@ -209,9 +212,10 @@ func (p *Prepared) partition(ws *Workspace) {
 }
 
 // SolvePrepared is Hybrid's body over a prepared graph: a budgeted exact
-// search first (its clique-partition bound and adjacency come from p),
-// falling back to the greedy heuristic only when the budget runs out. It
-// returns the allocating Hybrid body's output on the same graph and weights
+// search first (its adjacency, and above 64 vertices its clique partition,
+// come from p), falling back to the greedy heuristic only when the budget
+// runs out. It returns the allocating Hybrid body's output on the same
+// graph and weights
 // (TestSolvePreparedMatchesSolve), except where the greedy set ties the
 // exhaustive search's to within rounding: that body compared float sums
 // and could pick the greedy set, this one keeps the search's

@@ -3,6 +3,7 @@ package mwis
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"multihopbandit/internal/graph"
@@ -132,13 +133,18 @@ func checkSlackSoundness(t *testing.T, h Hybrid, trials int, src *rng.Source, mi
 // TestUniquenessGapCertificate pins the second certificate on an instance
 // built so the two disagree: vertices 1 and 2 both conflict with 3, so the
 // only competitive alternative to the optimum {0,3} is {0,1,2}, a gap of
-// 1.01 away — but the traversal sees that subtree only through a clique
-// bound prune whose halved margin is 0.505. With the default budget the
-// unpruned tree (2·(3·2·2)−1 = 23 nodes) fits, so the uniqueness gap is
-// granted and the reported slack is the full 1.01; with the budget pinned
-// to the pruned search's exact node count (below 23), exhaustion under
-// drifted weights is no longer guaranteed and the slack falls back to the
-// traversal certificate alone.
+// 1.01 away — but the traversal certificate is smaller. The root cover
+// (rootCover) opens a clique at 3 and takes 1, weighted 0.5, over the
+// other candidate, 2, weighted 0.49, so it notes their margin, 0.01: a
+// drift that swapped the two would build the cliques {3,2} and {1}
+// instead. (Before the root cover, the traversal's smallest margin was
+// the halved 1.01 of a clique-bound prune, 0.505.) With the default
+// budget the unpruned tree (2·(3·2·2)−1 = 23 nodes, by Prepared's degree
+// partition) fits, so the uniqueness gap is granted and the reported
+// slack is the full 1.01; with the budget pinned to the pruned search's
+// exact node count (below 23), exhaustion under drifted weights is no
+// longer guaranteed and the slack falls back to the traversal certificate
+// alone.
 func TestUniquenessGapCertificate(t *testing.T) {
 	g := graph.New(4)
 	for _, e := range [][2]int{{1, 3}, {2, 3}} {
@@ -172,8 +178,53 @@ func TestUniquenessGapCertificate(t *testing.T) {
 	if minBudget == 0 {
 		t.Fatal("pruned search did not complete below the 23-node unpruned bound")
 	}
-	if math.Abs(gated-0.505) > 1e-9 {
-		t.Fatalf("gated slack = %v at budget %d, want the traversal-only 0.505 (halved prune margin)", gated, minBudget)
+	if math.Abs(gated-0.01) > 1e-9 {
+		t.Fatalf("gated slack = %v at budget %d, want the traversal-only 0.01 (the root cover's margin between 1 and 2)", gated, minBudget)
+	}
+}
+
+// TestSlackCoversRootCover pins why a tracking search notes the root
+// cover's margins (rootCover), on a 13-vertex instance found by a seeded
+// search. The cover opens a clique at vertex 7 and takes 4, weighted 1.5,
+// over the other candidate, 0, weighted 1.5 − 2⁻¹⁰; the two are not
+// adjacent. Swapping their weights, an L1 drift of 2⁻⁹, makes the cover
+// take 0 instead, and the looser bound costs the search 41 nodes where it
+// took 23. Under a budget of exactly 23 the drifted search stops, and
+// SolvePrepared returns another set. The uniqueness gap (0.5) is withheld
+// at that budget, since the unpruned tree (2,591 nodes) does not fit, so
+// only the traversal slack can certify, and it must not reach the swap:
+// without the cover's notes it read 0.125.
+func TestSlackCoversRootCover(t *testing.T) {
+	g := graph.New(13)
+	for _, e := range [][2]int{
+		{0, 1}, {0, 3}, {0, 7}, {1, 2}, {1, 4}, {1, 8}, {2, 8}, {2, 11}, {4, 5}, {4, 7}, {4, 9},
+		{4, 12}, {5, 6}, {5, 7}, {5, 8}, {5, 11}, {6, 8}, {8, 11}, {9, 10}, {9, 11}, {9, 12}, {11, 12},
+	} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := []float64{1.5 - 0x1p-10, 3.375, 2.875, 1.5, 1.5, 5, 4.75, 3.125, 4.125, 2, 2.375, 0.75, 2.5}
+	var p Prepared
+	var ws Workspace
+	p.Prepare(g, &ws)
+	h := Hybrid{Budget: 23}
+	base, slack := solvePreparedTracked(t, h, &p, w, &ws)
+	if ws.st.nodes != 23 || ws.BudgetStop {
+		t.Fatalf("search took %d nodes, stop %v; want exactly the budget, 23, and no stop", ws.st.nodes, ws.BudgetStop)
+	}
+	w2 := slices.Clone(w)
+	w2[0], w2[4] = w[4], w[0]
+	var ws2 Workspace
+	got, err := h.SolvePrepared(&p, w2, &ws2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ws2.BudgetStop || slices.Equal(got, base) {
+		t.Fatalf("swapping vertices 0 and 4: stop %v, set %v; want a stop and another set than %v", ws2.BudgetStop, got, base)
+	}
+	if d1 := 2 * (w[4] - w[0]); d1 < slack {
+		t.Fatalf("slack %v certifies a drift of %v that changes the set %v to %v", slack, d1, base, got)
 	}
 }
 
@@ -279,8 +330,14 @@ func equalIntSlices(a, b []int) bool {
 // of 63 and 64 vertices at density 0.42–0.45, the densest found whose
 // searches pass coverAfter nodes, at both budgets; deep entries past
 // coverAfter with a nonzero slack in the continuous, unseen-mixed,
-// quarter-step and near-tie regimes; and small entries that certify by
-// their traversal slack, one per regime with the subnormal and huge ones.
+// quarter-step and near-tie regimes; small entries that certify by their
+// traversal slack, one per regime with the subnormal and huge ones; and
+// four (the "swap" entries, 21–47 vertices) whose drifts below the slack
+// reorder two near-tied, non-adjacent vertices, as a certificate may
+// wherever neither the search nor its root cover (rootCover) chose
+// between the two. Such a swap cannot change the answer of a search that
+// still finishes, so the corpus would pass even without the root cover's
+// margins; TestSlackCoversRootCover shows what they guard, under a budget.
 func FuzzSlackCertificate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, densityRaw, regimeRaw, driftRaw uint8, deep bool) {
 		n := 1 + int(nRaw)%64

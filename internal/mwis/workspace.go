@@ -31,12 +31,14 @@ type Workspace struct {
 	//   - Traversal slack: the minimum margin, pre-scaled per comparison
 	//     kind, over the weight-dependent comparisons the search executed
 	//     (incumbent updates, clique-bound prunes at half weight, pivot
-	//     choices). Drift below it flips none of them, so the search on w'
-	//     runs the identical traversal — same incumbents, same prunes,
-	//     same budget consumption — and returns the identical set. A search
-	//     that built a clique cover past its first 8,192 nodes has none:
-	//     the cover follows the whole weight order, which no recorded
-	//     margin covers (see coverAfter).
+	//     choices, and on up to 64 vertices the choices that fit the root's
+	//     clique cover to the weight order, see rootCover). Drift below it
+	//     flips none of them, so the search on w' bounds by the same
+	//     cliques and runs the identical traversal — same incumbents, same
+	//     prunes, same budget consumption — and returns the identical set.
+	//     A search that built a clique cover past its first 8,192 nodes has
+	//     none: that cover follows the remaining set's weight order, and no
+	//     recorded margin covers its choices (see coverAfter).
 	//
 	//   - Uniqueness gap: the distance from the optimum to the
 	//     second-best independent set, available only when the prepared
