@@ -22,6 +22,14 @@ func solvePreparedTracked(t *testing.T, h Hybrid, p *Prepared, w []float64, ws *
 	return append([]int(nil), set...), ws.Slack
 }
 
+// traversalSlack is the part of ws's last published slack that its
+// traversal certificate gives, deflated as SolvePrepared deflates it.
+// Drift below it replays the identical traversal, so a drifted search
+// must take the same nodes, not only return the same set.
+func traversalSlack(ws *Workspace, w []float64) float64 {
+	return math.Max(0, ws.st.slack-roundingError(w))
+}
+
 // TestSlackCertificateSoundness is the property the sensitivity-skip path
 // rests on: for any weight vector whose L1 distance to the solved vector
 // stays strictly below the reported slack, a from-scratch solve returns the
@@ -32,6 +40,11 @@ func solvePreparedTracked(t *testing.T, h Hybrid, p *Prepared, w []float64, ws *
 // dense (density 0.4–0.8): at that size a sparse instance's clique bound
 // is loose enough that its search stops at the node budget, which
 // certifies nothing.
+//
+// Wherever a drift also stays below the traversal slack, the drifted
+// search must take the solve's node count (traversalSlack): about 1,750
+// of the 2,700 drifts. A set alone would not show a certificate that
+// misses a choice shaping the bound, such as one of rootCover's.
 //
 // Many of the larger searches pass coverAfter nodes, which voids their
 // traversal slack, and their node bounds are far above the default
@@ -92,6 +105,7 @@ func checkSlackSoundness(t *testing.T, h Hybrid, trials int, src *rng.Source, mi
 			continue
 		}
 		certified++
+		nodes, traversal := ws.st.nodes, traversalSlack(&ws, in.W)
 		for d := 0; d < 12; d++ {
 			// Random non-negative drift with L1 norm strictly below slack.
 			w2 := append([]float64(nil), in.W...)
@@ -124,6 +138,10 @@ func checkSlackSoundness(t *testing.T, h Hybrid, trials int, src *rng.Source, mi
 			if !equalIntSlices(base, got) {
 				t.Fatalf("trial %d: drifted solve diverged under certified slack:\n base %v (w=%v, slack=%v)\n got %v (w'=%v, d1=%v)",
 					trial, base, in.W, slack, got, w2, d1)
+			}
+			if d1 < traversal && ws2.st.nodes != nodes {
+				t.Fatalf("trial %d: drift %v below the traversal slack %v took %d nodes, the solve %d\n w  %v\n w' %v",
+					trial, d1, traversal, ws2.st.nodes, nodes, in.W, w2)
 			}
 		}
 	}
@@ -316,7 +334,9 @@ func equalIntSlices(a, b []int) bool {
 // FuzzSlackCertificate fuzzes TestSlackCertificateSoundness's property:
 // whenever a weight vector lies at an L1 distance below the Slack that
 // Hybrid.SolvePrepared reported for the solved one, SolvePrepared on it
-// returns the identical set. The inputs choose the graph's seed, n in
+// returns the identical set, and below the traversal slack it takes the
+// identical number of nodes (traversalSlack). The inputs choose the
+// graph's seed, n in
 // 1–64, the edge density (densityRaw/255), a weight regime of
 // referenceWeights (regimeRaw % 8: continuous, all 2.0, unseen mixed with
 // learned, quarter steps, 1-ulp near-ties, zeros, subnormal, huge), a
@@ -335,9 +355,10 @@ func equalIntSlices(a, b []int) bool {
 // four (the "swap" entries, 21–47 vertices) whose drifts below the slack
 // reorder two near-tied, non-adjacent vertices, as a certificate may
 // wherever neither the search nor its root cover (rootCover) chose
-// between the two. Such a swap cannot change the answer of a search that
-// still finishes, so the corpus would pass even without the root cover's
-// margins; TestSlackCoversRootCover shows what they guard, under a budget.
+// between the two. Without the root cover's margins every entry still
+// returns its set, but n24-continuous-ties-cover then takes 37 nodes
+// under a drift its inflated traversal slack covers, where the solve took
+// 31.
 func FuzzSlackCertificate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, densityRaw, regimeRaw, driftRaw uint8, deep bool) {
 		n := 1 + int(nRaw)%64
@@ -360,6 +381,7 @@ func FuzzSlackCertificate(f *testing.F) {
 		if !(slack > 0) {
 			return
 		}
+		nodes, traversal := ws.st.nodes, traversalSlack(&ws, w)
 		drift := rng.New(seed).Split("drift")
 		var ws2 Workspace
 		for k := 0; k < 8; k++ {
@@ -373,6 +395,9 @@ func FuzzSlackCertificate(f *testing.F) {
 			}
 			if !equalIntSlices(got, base) {
 				t.Fatalf("n=%d: drift %v below slack %v changed the set %v to %v\n w  %v\n w' %v", n, d1, slack, base, got, w, w2)
+			}
+			if d1 < traversal && ws2.st.nodes != nodes {
+				t.Fatalf("n=%d: drift %v below the traversal slack %v took %d nodes, the solve %d\n w  %v\n w' %v", n, d1, traversal, ws2.st.nodes, nodes, w, w2)
 			}
 		}
 	})
